@@ -21,6 +21,7 @@ object BottomUp {
   def cover(g: DirectedGraph, k: Int, minLen: Int = 3,
             minimalPrune: Boolean = false,
             budget: SearchBudget = SearchBudget.Unlimited): CoverResult = {
+    require(minLen >= 2, s"minimum cycle length minLen=$minLen must be at least 2")
     require(k >= minLen, s"hop constraint k=$k below minimum cycle length $minLen")
     val hits = new Array[Long](g.n)
     val inCover = new Array[Boolean](g.n)

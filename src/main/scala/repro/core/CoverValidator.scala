@@ -4,23 +4,32 @@ package repro.core
   * in G − C) and minimality (every cover vertex has a private witness
   * cycle). Tests use the plain-DFS flavour for independence from the block
   * machinery; benches use the fast flavour for large graphs.
+  *
+  * Bad input fails loudly: every cover id must be a vertex of `g`, and
+  * `minLen` must be at least 2.
   */
 object CoverValidator {
 
-  private def allowedFn(g: DirectedGraph, coverIds: Array[Long]): Int => Boolean = {
-    val inCover = new Array[Boolean](g.n)
+  /** The vertex mask of V − C: `allowed(v)` is false exactly for cover
+    * vertices. Rejects ids that are not vertices of `g`, and `minLen < 2`,
+    * for both checks.
+    */
+  private def complementMask(g: DirectedGraph, minLen: Int, coverIds: Array[Long]): Array[Boolean] = {
+    require(minLen >= 2, s"minimum cycle length minLen=$minLen must be at least 2")
+    val allowed = Array.fill(g.n)(true)
     coverIds.foreach { id =>
       val v = java.util.Arrays.binarySearch(g.ids, id)
-      if (v >= 0) inCover(v) = true
+      require(v >= 0, s"cover id $id is not a vertex of the graph")
+      allowed(v) = false
     }
-    v => !inCover(v)
+    allowed
   }
 
   /** Valid ⟺ the graph induced on V − C has no constrained cycle. */
   def isValid(g: DirectedGraph, k: Int, minLen: Int, coverIds: Array[Long],
               fast: Boolean = false): Boolean = {
-    val allowed = allowedFn(g, coverIds)
-    if (!fast) !BruteForce.existsConstrainedCycle(g, k, minLen, allowed)
+    val allowed = complementMask(g, minLen, coverIds)
+    if (!fast) !BruteForce.existsConstrainedCycle(g, k, minLen, v => allowed(v))
     else {
       val filter = new BfsFilter(g, k)
       val blockDfs = new BlockDfsValidator(g, k, minLen)
@@ -35,23 +44,21 @@ object CoverValidator {
   }
 
   /** Minimal ⟺ for each c ∈ C there is a constrained cycle through c whose
-    * other vertices all avoid C.
+    * other vertices all avoid C. Each check admits c into the mask of V − C
+    * and removes it again afterwards.
     */
   def isMinimal(g: DirectedGraph, k: Int, minLen: Int, coverIds: Array[Long],
                 fast: Boolean = false): Boolean = {
-    val inCover = new Array[Boolean](g.n)
-    coverIds.foreach { id =>
-      val v = java.util.Arrays.binarySearch(g.ids, id)
-      if (v >= 0) inCover(v) = true
-    }
-    val blockDfs = new BlockDfsValidator(g, k, minLen)
+    val allowed = complementMask(g, minLen, coverIds)
+    val blockDfs = if (fast) new BlockDfsValidator(g, k, minLen) else null
     coverIds.forall { id =>
       val c = java.util.Arrays.binarySearch(g.ids, id)
-      c >= 0 && {
-        val allowed: Int => Boolean = x => !inCover(x) || x == c
-        if (!fast) BruteForce.existsCycleThrough(g, k, minLen, c, allowed)
+      allowed(c) = true
+      val witnessed =
+        if (!fast) BruteForce.existsCycleThrough(g, k, minLen, c, x => allowed(x))
         else blockDfs.existsCycleThrough(c, allowed)
-      }
+      allowed(c) = false
+      witnessed
     }
   }
 }

@@ -42,11 +42,11 @@ final class DirectedGraph private (
     while (i < end) { f(inAdj(i)); i += 1 }
   }
 
-  /** Out-neighbours as an indexed slice — used by recursive searches that
-    * need early exit (while-loop over indices beats an iterator here).
+  /** Out-neighbours as an indexed slice, for searches that need early exit.
+    * It allocates a tuple per call; hot kernels index `outOff` / `outAdj`
+    * directly instead.
     */
   def outSlice(v: Int): (Array[Int], Int, Int) = (outAdj, outOff(v), outOff(v + 1))
-  def inSlice(v: Int): (Array[Int], Int, Int)  = (inAdj, inOff(v), inOff(v + 1))
 
   def edgeSeq: Seq[(Long, Long)] = {
     val b = Seq.newBuilder[(Long, Long)]

@@ -38,6 +38,7 @@ object TopDown {
   def cover(g: DirectedGraph, k: Int, minLen: Int = 3,
             variant: Variant = TDBPlusPlus,
             budget: SearchBudget = SearchBudget.Unlimited): CoverResult = {
+    require(minLen >= 2, s"minimum cycle length minLen=$minLen must be at least 2")
     require(k >= minLen, s"hop constraint k=$k below minimum cycle length $minLen")
     val allowed = new Array[Boolean](g.n) // membership in D ∪ {current v}
     val inCover = new Array[Boolean](g.n)
@@ -48,15 +49,14 @@ object TopDown {
     val filter = if (variant == TDBPlusPlus) new BfsFilter(g, k) else null
     var validations = 0L
     var coverCount = 0
-    val allowedFn: Int => Boolean = allowed
 
     var v = 0
     while (v < g.n) {
       allowed(v) = true
-      val mayCycle = filter == null || filter.mayHaveCycle(v, allowedFn)
+      val mayCycle = filter == null || filter.mayHaveCycle(v, allowed)
       val necessary = mayCycle && {
         validations += 1
-        validator.existsCycleThrough(v, allowedFn)
+        validator.existsCycleThrough(v, allowed)
       }
       if (necessary) {
         inCover(v) = true

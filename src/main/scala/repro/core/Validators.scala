@@ -11,14 +11,22 @@ package repro.core
   *   - [[BlockDfsValidator]]  — Algorithm 9/10 block ("barrier") DFS, O(km) (TDB+)
   *   - [[BfsFilter]]          — Algorithm 11 linear pre-filter (added in TDB++)
   *
+  * The vertex set is a mask, `allowed: Array[Boolean]` of length `g.n`:
+  * `allowed(v)` says whether the search may use `v`. The caller owns the
+  * mask and may change it between calls (Top-Down flips one entry per
+  * vertex); the kernels only read it. They walk `g.outOff` / `g.outAdj`
+  * (and `inOff` / `inAdj`) directly and allocate nothing per call, so one
+  * instance serves all n validations of a run.
+  *
   * Validators carry per-run counters (`visits`, `calls`, `pruned`) consumed
   * by the speed-up benchmark (paper Fig. 10 rendered as a table).
   */
 trait NodeValidator {
   /** True iff a simple cycle of length in [minLen, k] through `s` exists
-    * using only vertices accepted by `allowed` (s itself must be allowed).
+    * using only vertices `v` with `allowed(v)` (s itself must be allowed).
+    * `allowed` is read, never written.
     */
-  def existsCycleThrough(s: Int, allowed: Int => Boolean): Boolean
+  def existsCycleThrough(s: Int, allowed: Array[Boolean]): Boolean
 
   /** Vertices pushed onto the search stack across all calls so far. */
   def visits: Long
@@ -33,12 +41,13 @@ final class PlainDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3,
 
   override def visits: Long = visitCount
 
-  override def existsCycleThrough(s: Int, allowed: Int => Boolean): Boolean = {
+  override def existsCycleThrough(s: Int, allowed: Array[Boolean]): Boolean = {
     def dfs(u: Int, d: Int): Boolean = {
       visitCount += 1
       if (budget != null) budget.spend()
-      val (adj, lo, hi) = g.outSlice(u)
-      var i = lo
+      val adj = g.outAdj
+      var i = g.outOff(u)
+      val hi = g.outOff(u + 1)
       var found = false
       while (!found && i < hi) {
         val w = adj(i)
@@ -105,7 +114,7 @@ final class BlockDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3) extends
   @inline private def e(u: Int): Int = if (evidStamp(u) == stamp) evid(u) else Inf
   @inline private def setE(u: Int, v: Int): Unit = { evidStamp(u) = stamp; evid(u) = v }
 
-  override def existsCycleThrough(s: Int, allowed: Int => Boolean): Boolean = {
+  override def existsCycleThrough(s: Int, allowed: Array[Boolean]): Boolean = {
     stamp += 1
 
     // Record evidence of an x ⇝ s path of length l and propagate backwards.
@@ -114,8 +123,9 @@ final class BlockDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3) extends
       if (l <= k && l < e(x)) {
         setE(x, l)
         if (b(x) > l) setB(x, l)
-        val (adj, lo, hi) = g.inSlice(x)
-        var i = lo
+        val adj = g.inAdj
+        var i = g.inOff(x)
+        val hi = g.inOff(x + 1)
         while (i < hi) {
           val y = adj(i)
           if (allowed(y) && y != s) unblock(y, l + 1)
@@ -128,8 +138,9 @@ final class BlockDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3) extends
     // accepted cycle was found (terminates the whole search).
     def dfs(u: Int, d: Int): Boolean = {
       visitCount += 1
-      val (adj, lo, hi) = g.outSlice(u)
-      var i = lo
+      val adj = g.outAdj
+      var i = g.outOff(u)
+      val hi = g.outOff(u + 1)
       var found = false
       while (!found && i < hi) {
         val w = adj(i)
@@ -170,9 +181,14 @@ final class BlockDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3) extends
   * witness a 2-cycle walk, in which case the block DFS still decides.
   * One BFS is O(m) — the "linear filter" the paper credits for most of the
   * speed-up at large k.
+  *
+  * Each call first stamps s's in-neighbours in `returnStamp`, so "is w an
+  * in-neighbour of s?" is one array read per discovered vertex. The mask
+  * `allowed` is read, never written.
   */
 final class BfsFilter(g: DirectedGraph, k: Int) {
   private val seenStamp = new Array[Int](g.n)
+  private val returnStamp = new Array[Int](g.n)
   private val queue = new Array[Int](math.max(1, g.n))
   private var stamp = 0
   private var prunedCount = 0L
@@ -183,10 +199,15 @@ final class BfsFilter(g: DirectedGraph, k: Int) {
   def calls: Long = callCount
 
   /** False ⇒ certainly no constrained cycle through s (safe to skip). */
-  def mayHaveCycle(s: Int, allowed: Int => Boolean): Boolean = {
+  def mayHaveCycle(s: Int, allowed: Array[Boolean]): Boolean = {
     callCount += 1
     if (g.outDeg(s) == 0 || g.inDeg(s) == 0) { prunedCount += 1; return false }
     stamp += 1
+    val inAdj = g.inAdj
+    var j = g.inOff(s)
+    val inEnd = g.inOff(s + 1)
+    while (j < inEnd) { returnStamp(inAdj(j)) = stamp; j += 1 }
+    val adj = g.outAdj
     var head = 0; var tail = 0
     var depth = 0
     seenStamp(s) = stamp
@@ -195,14 +216,14 @@ final class BfsFilter(g: DirectedGraph, k: Int) {
     var reachedReturn = false
     while (head < tail && depth < k - 1 && !reachedReturn) {
       val u = queue(head); head += 1
-      val (adj, lo, hi) = g.outSlice(u)
-      var i = lo
+      var i = g.outOff(u)
+      val hi = g.outOff(u + 1)
       while (i < hi && !reachedReturn) {
         val w = adj(i)
         if (w != s && allowed(w) && seenStamp(w) != stamp) {
           seenStamp(w) = stamp
           // Reached an in-neighbour of s => closed walk of length depth+2 <= k.
-          if (g.hasEdge(w, s)) reachedReturn = true
+          if (returnStamp(w) == stamp) reachedReturn = true
           queue(tail) = w; tail += 1
         }
         i += 1

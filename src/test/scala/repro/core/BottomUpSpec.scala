@@ -51,6 +51,13 @@ class BottomUpSpec extends AnyFunSuite {
     assert(res.stats("cyclesFound") >= res.size.toLong)
   }
 
+  test("minLen below 2 is rejected") {
+    for (prune <- Seq(false, true); minLen <- Seq(1, 0)) {
+      intercept[IllegalArgumentException](
+        BottomUp.cover(TestGraphs.triangle, 3, minLen, minimalPrune = prune))
+    }
+  }
+
   test("DAG: empty cover, zero cycles found") {
     val res = BottomUp.cover(TestGraphs.dag, 6)
     assert(res.size == 0)

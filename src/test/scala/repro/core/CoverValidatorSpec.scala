@@ -51,4 +51,49 @@ class CoverValidatorSpec extends AnyFunSuite {
     assert(!CoverValidator.isValid(g, 5, 2, Array.empty))
     assert(CoverValidator.isValid(g, 5, 2, Array(0L)))
   }
+
+  test("cover ids that are not vertices are rejected") {
+    val g = TestGraphs.triangle
+    for (fast <- Seq(false, true)) {
+      intercept[IllegalArgumentException](CoverValidator.isValid(g, 3, 3, Array(7L), fast))
+      intercept[IllegalArgumentException](CoverValidator.isMinimal(g, 3, 3, Array(0L, 7L), fast))
+    }
+  }
+
+  test("minLen below 2 is rejected") {
+    val g = TestGraphs.triangle
+    for (fast <- Seq(false, true); minLen <- Seq(1, 0)) {
+      intercept[IllegalArgumentException](CoverValidator.isValid(g, 3, minLen, Array(0L), fast))
+      intercept[IllegalArgumentException](CoverValidator.isMinimal(g, 3, minLen, Array(0L), fast))
+    }
+  }
+
+  test("isMinimal fast and slow paths agree on random covers") {
+    val graphs = Seq(TestGraphs.triangle, TestGraphs.square, TestGraphs.bowTie,
+                     TestGraphs.twoCyclePlusTriangle, TestGraphs.figure1) ++
+      (1 to 6).map(seed => TestGraphs.random(14, 45, seed)) ++
+      (1 to 4).map(seed => TestGraphs.randomWithReciprocals(12, 30, 0.5, seed))
+    val seen = scala.collection.mutable.Set.empty[Boolean]
+    for ((g, gi) <- graphs.zipWithIndex; k <- 3 to 5; minLen <- Seq(2, 3)) {
+      val rnd = new scala.util.Random(gi * 17L + k * 3L + minLen)
+      val topDown = TopDown.cover(g, k, minLen).cover
+      // Random subsets, a minimal cover, and that cover with extra vertices.
+      val randomCovers = Seq.fill(6) {
+        val p = rnd.nextDouble()
+        g.ids.filter(_ => rnd.nextDouble() < p)
+      }
+      val padded = (topDown ++ g.ids.filter(_ => rnd.nextDouble() < 0.3)).distinct.sorted
+      for (cover <- randomCovers :+ topDown :+ padded) {
+        // Oracle with its own predicate per cover vertex, sharing no mask.
+        val inCover = cover.map(id => java.util.Arrays.binarySearch(g.ids, id)).toSet
+        val expected = inCover.forall(c =>
+          BruteForce.existsCycleThrough(g, k, minLen, c, x => !inCover(x) || x == c))
+        val ctx = s"graph=$gi k=$k minLen=$minLen cover=${cover.mkString(",")}"
+        assert(CoverValidator.isMinimal(g, k, minLen, cover, fast = true) == expected, s"fast $ctx")
+        assert(CoverValidator.isMinimal(g, k, minLen, cover, fast = false) == expected, s"slow $ctx")
+        seen += expected
+      }
+    }
+    assert(seen == Set(true, false)) // both outcomes are exercised
+  }
 }

@@ -31,6 +31,12 @@ class TopDownSpec extends AnyFunSuite {
     assert(res.size == 3) // one vertex per disjoint cycle once a is released
   }
 
+  test("minLen below 2 is rejected") {
+    for (variant <- variants; minLen <- Seq(1, 0)) {
+      intercept[IllegalArgumentException](TopDown.cover(TestGraphs.triangle, 3, minLen, variant))
+    }
+  }
+
   test("DAG: empty cover") {
     for (variant <- variants) {
       assert(TopDown.cover(TestGraphs.dag, 5, 3, variant).size == 0)

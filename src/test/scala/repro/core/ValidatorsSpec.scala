@@ -5,15 +5,22 @@ import repro.testkit.TestGraphs
 
 class ValidatorsSpec extends AnyFunSuite {
 
-  private def allTrue: Int => Boolean = _ => true
+  private def allTrue(g: DirectedGraph): Array[Boolean] = Array.fill(g.n)(true)
+
+  private def allExcept(g: DirectedGraph, removed: Int*): Array[Boolean] = {
+    val mask = allTrue(g)
+    removed.foreach(mask(_) = false)
+    mask
+  }
 
   private def checkAgreement(g: DirectedGraph, k: Int, minLen: Int = 3): Unit = {
     val plain = new PlainDfsValidator(g, k, minLen)
     val block = new BlockDfsValidator(g, k, minLen)
+    val all = allTrue(g)
     for (v <- 0 until g.n) {
-      val expected = BruteForce.existsCycleThrough(g, k, minLen, v, allTrue)
-      assert(plain.existsCycleThrough(v, allTrue) == expected, s"plain k=$k v=$v")
-      assert(block.existsCycleThrough(v, allTrue) == expected, s"block k=$k v=$v")
+      val expected = BruteForce.existsCycleThrough(g, k, minLen, v, _ => true)
+      assert(plain.existsCycleThrough(v, all) == expected, s"plain k=$k v=$v")
+      assert(block.existsCycleThrough(v, all) == expected, s"block k=$k v=$v")
     }
   }
 
@@ -95,20 +102,51 @@ class ValidatorsSpec extends AnyFunSuite {
     val g = TestGraphs.bowTie
     val block = new BlockDfsValidator(g, 5)
     val plain = new PlainDfsValidator(g, 5)
-    val no1: Int => Boolean = v => v != 1
+    val no1 = allExcept(g, 1)
     assert(block.existsCycleThrough(0, no1))  // 0-3-4 remains
     assert(plain.existsCycleThrough(0, no1))
-    val no134: Int => Boolean = v => v != 1 && v != 3
+    val no134 = allExcept(g, 1, 3)
     assert(!block.existsCycleThrough(0, no134))
     assert(!plain.existsCycleThrough(0, no134))
+  }
+
+  test("kernels agree with brute force under random masks and leave the mask unchanged") {
+    // One instance of each kernel per graph, reused across masks, as Top-Down
+    // reuses them while its mask changes.
+    var oracleHits = 0
+    for (seed <- 1 to 10; k <- 3 to 6; minLen <- Seq(2, 3)) {
+      val g =
+        if (seed % 2 == 0) TestGraphs.random(16, 60, seed)
+        else TestGraphs.randomWithReciprocals(14, 40, 0.5, seed)
+      val plain = new PlainDfsValidator(g, k, minLen)
+      val block = new BlockDfsValidator(g, k, minLen)
+      val filter = new BfsFilter(g, k)
+      val rnd = new scala.util.Random(seed * 31L + k * 7L + minLen)
+      for (trial <- 1 to 5) {
+        val mask = Array.fill(g.n)(rnd.nextDouble() < 0.75)
+        val before = mask.clone()
+        for (v <- 0 until g.n if mask(v)) {
+          val ctx = s"seed=$seed k=$k minLen=$minLen trial=$trial v=$v"
+          val expected = BruteForce.existsCycleThrough(g, k, minLen, v, mask(_))
+          if (expected) oracleHits += 1
+          assert(plain.existsCycleThrough(v, mask) == expected, s"plain $ctx")
+          assert(block.existsCycleThrough(v, mask) == expected, s"block $ctx")
+          val mayCycle = filter.mayHaveCycle(v, mask)
+          assert(mayCycle || !expected, s"filter wrongly pruned $ctx")
+          assert(mask.sameElements(before), s"mask modified $ctx")
+        }
+      }
+    }
+    assert(oracleHits > 0) // the masks leave cycles to find
   }
 
   test("block validator is reusable across many sources (stamp reset)") {
     val g = TestGraphs.random(25, 100, seed = 17)
     val block = new BlockDfsValidator(g, 5)
     // run twice over all vertices — second pass must agree with the first
-    val first = (0 until g.n).map(v => block.existsCycleThrough(v, allTrue))
-    val second = (0 until g.n).map(v => block.existsCycleThrough(v, allTrue))
+    val all = allTrue(g)
+    val first = (0 until g.n).map(v => block.existsCycleThrough(v, all))
+    val second = (0 until g.n).map(v => block.existsCycleThrough(v, all))
     assert(first == second)
   }
 
@@ -119,7 +157,7 @@ class ValidatorsSpec extends AnyFunSuite {
       val filter = new BfsFilter(g, k)
       val onCycle = BruteForce.enumerateCycles(g, k).flatten.toSet
       for (v <- 0 until g.n if onCycle.contains(v)) {
-        assert(filter.mayHaveCycle(v, allTrue), s"seed=$seed v=$v wrongly pruned")
+        assert(filter.mayHaveCycle(v, allTrue(g)), s"seed=$seed v=$v wrongly pruned")
       }
     }
   }
@@ -127,41 +165,41 @@ class ValidatorsSpec extends AnyFunSuite {
   test("BFS filter prunes everything in a DAG") {
     val g = TestGraphs.dag
     val filter = new BfsFilter(g, 5)
-    for (v <- 0 until g.n) assert(!filter.mayHaveCycle(v, allTrue))
+    for (v <- 0 until g.n) assert(!filter.mayHaveCycle(v, allTrue(g)))
     assert(filter.pruned == g.n)
   }
 
   test("BFS filter respects the hop bound") {
     val g = TestGraphs.fromPairs((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)) // 5-cycle
-    assert(new BfsFilter(g, 5).mayHaveCycle(0, allTrue))
-    assert(!new BfsFilter(g, 4).mayHaveCycle(0, allTrue))
+    assert(new BfsFilter(g, 5).mayHaveCycle(0, allTrue(g)))
+    assert(!new BfsFilter(g, 4).mayHaveCycle(0, allTrue(g)))
   }
 
   test("BFS filter keeps the 2-cycle-only vertex (conservative, DFS decides)") {
     val g = TestGraphs.twoCycle
     val filter = new BfsFilter(g, 5)
-    assert(filter.mayHaveCycle(0, allTrue)) // conservative: closed walk exists
-    assert(!new BlockDfsValidator(g, 5).existsCycleThrough(0, allTrue))
+    assert(filter.mayHaveCycle(0, allTrue(g))) // conservative: closed walk exists
+    assert(!new BlockDfsValidator(g, 5).existsCycleThrough(0, allTrue(g)))
   }
 
   test("BFS filter honours the allowed mask") {
     val g = TestGraphs.triangle
     val filter = new BfsFilter(g, 5)
-    assert(filter.mayHaveCycle(0, _ => true))
-    assert(!filter.mayHaveCycle(0, v => v != 2))
+    assert(filter.mayHaveCycle(0, allTrue(g)))
+    assert(!filter.mayHaveCycle(0, allExcept(g, 2)))
   }
 
   test("zero-degree vertices are pruned immediately") {
     val g = TestGraphs.fromPairs((0, 1), (1, 2), (2, 0), (2, 3)) // 3 is a sink
     val filter = new BfsFilter(g, 5)
-    assert(!filter.mayHaveCycle(3, allTrue))
+    assert(!filter.mayHaveCycle(3, allTrue(g)))
   }
 
   test("validator visit counters increase monotonically") {
     val g = TestGraphs.random(20, 80, seed = 23)
     val block = new BlockDfsValidator(g, 5)
     val v0 = block.visits
-    block.existsCycleThrough(0, allTrue)
+    block.existsCycleThrough(0, allTrue(g))
     assert(block.visits >= v0)
   }
 }
