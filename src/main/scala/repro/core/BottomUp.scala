@@ -6,7 +6,8 @@ import scala.collection.mutable
   * minimal pruning pass that upgrades it to BUR+ (Algorithm 7).
   *
   * BUR iterates vertices in ascending id order; for each start vertex it
-  * repeatedly finds a constrained cycle (FindCycle, a bounded DFS), bumps
+  * repeatedly finds a constrained cycle (FindCycle, the bounded DFS of
+  * [[PlainDfsValidator]], one instance per call and one vertex mask), bumps
   * the hit-count H of every vertex on it, moves the highest-H vertex of the
   * cycle into the cover (removing its edges), and continues until no cycle
   * through the start vertex remains. Ties on H resolve to the earliest
@@ -24,16 +25,16 @@ object BottomUp {
     require(minLen >= 2, s"minimum cycle length minLen=$minLen must be at least 2")
     require(k >= minLen, s"hop constraint k=$k below minimum cycle length $minLen")
     val hits = new Array[Long](g.n)
-    val inCover = new Array[Boolean](g.n)
+    val present = Array.fill(g.n)(true) // false exactly for cover vertices
     val order = mutable.ArrayBuffer.empty[Int] // cover insertion order
-    val present: Int => Boolean = v => !inCover(v)
+    val findCycle = new PlainDfsValidator(g, k, minLen, budget)
     var cyclesFound = 0L
 
     var v = 0
     while (v < g.n) {
-      var continue = !inCover(v)
+      var continue = present(v)
       while (continue) {
-        val c = BruteForce.findCycleThrough(g, k, minLen, v, present, budget)
+        val c = findCycle.findCycleThrough(v, present)
         if (c == null) continue = false
         else {
           cyclesFound += 1
@@ -46,7 +47,7 @@ object BottomUp {
             if (hits(c(i)) > hits(best)) best = c(i)
             i += 1
           }
-          inCover(best) = true
+          present(best) = false
           order += best
           if (best == v) continue = false // v itself covers everything through v
         }
@@ -56,18 +57,17 @@ object BottomUp {
 
     var prunedCount = 0L
     if (minimalPrune) {
-      // Algorithm 7: keep v only if it still witnesses a cycle once every
-      // OTHER cover vertex is removed from the graph.
-      for (u <- order if inCover(u)) {
-        val allowedFn: Int => Boolean = x => !inCover(x) || x == u
-        if (!BruteForce.existsCycleThrough(g, k, minLen, u, allowedFn, budget)) {
-          inCover(u) = false
-          prunedCount += 1
-        }
+      // Algorithm 7: keep u only if it still witnesses a cycle once every
+      // OTHER cover vertex is removed from the graph. Each check admits u
+      // into the mask; u leaves the cover if no witness is found.
+      for (u <- order) {
+        present(u) = true
+        if (findCycle.existsCycleThrough(u, present)) present(u) = false
+        else prunedCount += 1
       }
     }
 
-    val ids = (0 until g.n).iterator.filter(inCover).map(g.idOf).toArray
+    val ids = (0 until g.n).iterator.filterNot(present).map(g.idOf).toArray
     CoverResult(ids, Map("cyclesFound" -> cyclesFound, "pruned" -> prunedCount))
   }
 }

@@ -62,37 +62,27 @@ object BruteForce {
   }
 
   /** Plain bounded DFS: is there a constrained cycle through `s` using only
-    * `allowed` vertices? This is the paper's FindCycle (Algorithm 5) check.
+    * `allowed` vertices? The oracle for the FindCycle (Algorithm 5) kernel,
+    * kept separate from [[PlainDfsValidator]] so tests check one against
+    * the other.
     */
   def existsCycleThrough(g: DirectedGraph, k: Int, minLen: Int, s: Int,
-                         allowed: Int => Boolean,
-                         budget: SearchBudget = SearchBudget.Unlimited): Boolean =
-    findCycleThrough(g, k, minLen, s, allowed, budget) != null
-
-  /** The paper's FindCycle (Algorithm 5): first constrained cycle through
-    * `s` in DFS order, as its vertex sequence starting at `s`, or null.
-    */
-  def findCycleThrough(g: DirectedGraph, k: Int, minLen: Int, s: Int,
-                       allowed: Int => Boolean,
-                       budget: SearchBudget = SearchBudget.Unlimited): Array[Int] = {
-    if (!allowed(s)) return null
+                         allowed: Int => Boolean): Boolean = {
     val onPath = new Array[Boolean](g.n)
-    val path = new mutable.ArrayBuffer[Int]
 
-    def dfs(u: Int): Boolean = {
-      if (budget != null) budget.spend()
+    // `len` counts the path's vertices: the cycle length once it closes.
+    def dfs(u: Int, len: Int): Boolean = {
       val (adj, lo, hi) = g.outSlice(u)
       var i = lo
       while (i < hi) {
         val w = adj(i)
         if (allowed(w)) {
           if (w == s) {
-            val len = path.length
             if (len >= minLen && len <= k) return true
-          } else if (!onPath(w) && path.length < k) {
-            onPath(w) = true; path += w
-            if (dfs(w)) return true
-            path.remove(path.length - 1); onPath(w) = false
+          } else if (!onPath(w) && len < k) {
+            onPath(w) = true
+            if (dfs(w, len + 1)) return true
+            onPath(w) = false
           }
         }
         i += 1
@@ -100,7 +90,6 @@ object BruteForce {
       false
     }
 
-    onPath(s) = true; path += s
-    if (dfs(s)) path.toArray else null
+    allowed(s) && { onPath(s) = true; dfs(s, 1) }
   }
 }

@@ -7,7 +7,8 @@ package repro.core
   * Node Necessary Validation (Section VI-C). Three strategies reproduce the
   * paper's TDB / TDB+ / TDB++ variants:
   *
-  *   - [[PlainDfsValidator]]  — bounded DFS, worst-case exponential (TDB)
+  *   - [[PlainDfsValidator]]  — bounded DFS, worst-case exponential (TDB;
+  *                              also FindCycle for BUR/BUR+)
   *   - [[BlockDfsValidator]]  — Algorithm 9/10 block ("barrier") DFS, O(km) (TDB+)
   *   - [[BfsFilter]]          — Algorithm 11 linear pre-filter (added in TDB++)
   *
@@ -32,31 +33,51 @@ trait NodeValidator {
   def visits: Long
 }
 
-/** TDB validator: the unadorned bounded DFS (same search as FindCycle). */
+/** The paper's plain bounded DFS, FindCycle (Algorithm 5): TDB's
+  * validation and the BUR/BUR+ cycle search.
+  *
+  * The current path lives in a preallocated `Array[Int](k)`; a call copies
+  * it only when it returns a cycle. Each DFS call is one visit and spends
+  * one unit of `budget`.
+  */
 final class PlainDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3,
                               budget: SearchBudget = SearchBudget.Unlimited)
     extends NodeValidator {
   private var visitCount = 0L
   private val onPath = new Array[Boolean](g.n)
+  private val path = new Array[Int](k) // path(d): the vertex at depth d
 
   override def visits: Long = visitCount
 
-  override def existsCycleThrough(s: Int, allowed: Array[Boolean]): Boolean = {
-    def dfs(u: Int, d: Int): Boolean = {
+  override def existsCycleThrough(s: Int, allowed: Array[Boolean]): Boolean =
+    search(s, allowed) > 0
+
+  /** The first constrained cycle through `s` in DFS order, as its vertex
+    * sequence starting at `s`, or null. `allowed` is read, never written.
+    */
+  def findCycleThrough(s: Int, allowed: Array[Boolean]): Array[Int] = {
+    val len = search(s, allowed)
+    if (len == 0) null else java.util.Arrays.copyOf(path, len)
+  }
+
+  /** Length of the first cycle found (left in `path`), or 0 if none. */
+  private def search(s: Int, allowed: Array[Boolean]): Int = {
+    def dfs(u: Int, d: Int): Int = {
       visitCount += 1
       if (budget != null) budget.spend()
       val adj = g.outAdj
       var i = g.outOff(u)
       val hi = g.outOff(u + 1)
-      var found = false
-      while (!found && i < hi) {
+      var found = 0
+      while (found == 0 && i < hi) {
         val w = adj(i)
         if (allowed(w)) {
           if (w == s) {
             val len = d + 1
-            if (len >= minLen && len <= k) found = true
+            if (len >= minLen && len <= k) found = len
           } else if (!onPath(w) && d + 1 < k) {
             onPath(w) = true
+            path(d + 1) = w
             found = dfs(w, d + 1)
             onPath(w) = false
           }
@@ -66,6 +87,7 @@ final class PlainDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3,
       found
     }
     onPath(s) = true
+    path(0) = s
     val r = dfs(s, 0)
     onPath(s) = false
     r

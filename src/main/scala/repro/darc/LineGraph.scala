@@ -15,7 +15,7 @@ import repro.core.DirectedGraph
   * G's flattened out-adjacency (`outAdj`), because position i in `outAdj`
   * uniquely determines the edge src(i) -> outAdj(i). The out-arcs of line
   * node a are exactly the positions in `outAdj` belonging to src = dst(a) —
-  * a contiguous CSR slice. Arc (a, b) is encoded as the Long a<<32|b.
+  * a contiguous CSR slice.
   */
 final class LineGraph(val g: DirectedGraph) {
 
@@ -51,8 +51,4 @@ final class LineGraph(val g: DirectedGraph) {
 
   /** The G-vertex an arc (a, b) passes through (the DARC-DV result mapping). */
   @inline def viaVertex(a: Int): Int = eDst(a)
-
-  @inline def encode(a: Int, b: Int): Long = (a.toLong << 32) | (b.toLong & 0xffffffffL)
-  @inline def arcFrom(enc: Long): Int = (enc >>> 32).toInt
-  @inline def arcTo(enc: Long): Int = (enc & 0xffffffffL).toInt
 }

@@ -58,6 +58,13 @@ class BottomUpSpec extends AnyFunSuite {
     }
   }
 
+  test("the search budget reaches the BUR and BUR+ cycle search") {
+    for (prune <- Seq(false, true)) {
+      intercept[SearchBudget.Exceeded](
+        BottomUp.cover(TestGraphs.figure1, 5, minimalPrune = prune, budget = new SearchBudget(10)))
+    }
+  }
+
   test("DAG: empty cover, zero cycles found") {
     val res = BottomUp.cover(TestGraphs.dag, 6)
     assert(res.size == 0)

@@ -80,13 +80,6 @@ class BruteForceSpec extends AnyFunSuite {
     }
   }
 
-  test("findCycleThrough returns a path starting at s that closes") {
-    val g = TestGraphs.figure1
-    val c = BruteForce.findCycleThrough(g, 5, 3, 0, _ => true)
-    assert(c != null && c.head == 0)
-    c.indices.foreach(i => assert(g.hasEdge(c(i), c((i + 1) % c.length))))
-  }
-
   test("allowed mask removes cycles") {
     val g = TestGraphs.bowTie
     // blocking vertex 0 kills both triangles

@@ -110,6 +110,29 @@ class ValidatorsSpec extends AnyFunSuite {
     assert(!plain.existsCycleThrough(0, no134))
   }
 
+  /** `cycle` is a constrained cycle through `s` inside `mask`: it starts at
+    * `s`, its vertices are distinct and allowed, its length is in
+    * [minLen, k], and every edge exists, the closing one included.
+    */
+  private def assertConstrainedCycle(g: DirectedGraph, k: Int, minLen: Int, s: Int,
+                                     mask: Array[Boolean], cycle: Array[Int], ctx: String): Unit = {
+    val c = cycle.toSeq
+    assert(c.head == s, s"cycle $c does not start at $s, $ctx")
+    assert(c.distinct.size == c.size, s"cycle $c not simple, $ctx")
+    assert(c.forall(mask(_)), s"cycle $c leaves the mask, $ctx")
+    assert(c.size >= minLen && c.size <= k, s"cycle $c length out of [$minLen, $k], $ctx")
+    c.indices.foreach { i =>
+      assert(g.hasEdge(c(i), c((i + 1) % c.size)), s"cycle $c misses an edge, $ctx")
+    }
+  }
+
+  test("findCycleThrough returns a path starting at s that closes") {
+    val g = TestGraphs.figure1
+    val c = new PlainDfsValidator(g, 5).findCycleThrough(0, allTrue(g))
+    assert(c != null)
+    assertConstrainedCycle(g, 5, 3, 0, allTrue(g), c, "figure-1")
+  }
+
   test("kernels agree with brute force under random masks and leave the mask unchanged") {
     // One instance of each kernel per graph, reused across masks, as Top-Down
     // reuses them while its mask changes.
@@ -130,6 +153,9 @@ class ValidatorsSpec extends AnyFunSuite {
           val expected = BruteForce.existsCycleThrough(g, k, minLen, v, mask(_))
           if (expected) oracleHits += 1
           assert(plain.existsCycleThrough(v, mask) == expected, s"plain $ctx")
+          val cycle = plain.findCycleThrough(v, mask)
+          assert((cycle != null) == expected, s"findCycleThrough $ctx")
+          if (cycle != null) assertConstrainedCycle(g, k, minLen, v, mask, cycle, ctx)
           assert(block.existsCycleThrough(v, mask) == expected, s"block $ctx")
           val mayCycle = filter.mayHaveCycle(v, mask)
           assert(mayCycle || !expected, s"filter wrongly pruned $ctx")

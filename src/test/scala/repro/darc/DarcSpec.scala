@@ -31,12 +31,6 @@ class DarcSpec extends AnyFunSuite {
     }
   }
 
-  test("arc encode/decode round-trips") {
-    val lg = new LineGraph(TestGraphs.triangle)
-    val e = lg.encode(1, 2)
-    assert(lg.arcFrom(e) == 1 && lg.arcTo(e) == 2)
-  }
-
   test("DARC-DV covers the triangle") {
     val res = DarcDV.cover(TestGraphs.triangle, 3)
     assert(res.size >= 1)
