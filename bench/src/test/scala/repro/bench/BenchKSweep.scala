@@ -44,8 +44,8 @@ class BenchKSweep extends SparkSpec {
       val bur = Harness.runAlgo(g, "BUR", k)
       val burp = Harness.runAlgo(g, "BUR+", k)
       (bur, burp) match {
-        case (Harness.Done(s1, _, _), Harness.Done(s2, _, _)) =>
-          assert(s2 <= s1, s"${spec.name} k=$k")
+        case (d1: Harness.Done, d2: Harness.Done) =>
+          assert(d2.size <= d1.size, s"${spec.name} k=$k")
         case _ => () // budget DNF rows print "-"
       }
       val cells = Seq(bur, burp).flatMap { o =>

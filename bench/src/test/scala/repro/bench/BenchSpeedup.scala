@@ -27,8 +27,8 @@ class BenchSpeedup extends SparkSpec {
       val t2 = Harness.time(TopDown.cover(g, k, 3, TopDown.TDBPlusPlus))
       assert(t1.value.cover.toSeq == t2.value.cover.toSeq, s"${spec.name} k=$k TDB+ vs TDB++")
       t0 match {
-        case Harness.Done(size, _, _) =>
-          assert(size == t1.value.size, s"${spec.name} k=$k TDB vs TDB+ size")
+        case d: Harness.Done =>
+          assert(d.size == t1.value.size, s"${spec.name} k=$k TDB vs TDB+ size")
         case _ => () // budget DNF: nothing to compare
       }
       val (s0, time0) = Harness.fmtCell(t0)

@@ -22,8 +22,8 @@ object Calibrate {
         val t = Harness.time(TopDown.cover(g, k))
         val extra = if (!withBase || spec.heavyOnly) "" else {
           def cell(algo: String) = Harness.runAlgo(g, algo, k) match {
-            case Harness.Done(sz, ms, _) => f"$algo=$sz%d/${ms / 1000.0}%.1fs"
-            case Harness.Dnf(r)          => s"$algo=DNF($r)"
+            case d: Harness.Done => f"$algo=${d.size}%d/${d.millis / 1000.0}%.1fs"
+            case Harness.Dnf(r)  => s"$algo=DNF($r)"
           }
           "  " + cell("BUR+") + "  " + cell("DARC-DV")
         }

@@ -22,8 +22,8 @@ object RunCover {
       val g = Harness.loadGraph(spark, Datasets.byName(dataset))
       println(s"[RunCover] dataset=$dataset n=${g.n} m=${g.m} algo=$algo k=$kStr minLen=$minLen")
       Harness.runAlgo(g, algo, kStr.toInt, minLen) match {
-        case Harness.Done(size, ms, stats) =>
-          println(s"[RunCover] coverSize=$size millis=$ms stats=$stats")
+        case Harness.Done(res, ms) =>
+          println(s"[RunCover] coverSize=${res.size} millis=$ms stats=${res.stats}")
         case Harness.Dnf(reason) =>
           println(s"[RunCover] DNF: $reason")
       }

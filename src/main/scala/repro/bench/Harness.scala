@@ -29,7 +29,10 @@ object Harness {
   }
 
   sealed trait Outcome
-  final case class Done(size: Int, millis: Long, stats: Map[String, Long]) extends Outcome
+  /** A finished run keeps its whole result, so a suite can check the cover. */
+  final case class Done(result: CoverResult, millis: Long) extends Outcome {
+    def size: Int = result.size
+  }
   final case class Dnf(reason: String) extends Outcome
 
   /** Visit budget for the worst-case-exponential searches, so a blow-up in
@@ -43,7 +46,7 @@ object Harness {
   def outcomeOf(body: => CoverResult): Outcome =
     try {
       val t = time(body)
-      Done(t.value.size, t.millis, t.value.stats)
+      Done(t.value, t.millis)
     } catch {
       case e: DarcDV.TooLargeException => Dnf(s"line graph ${e.arcs} arcs")
       case e: SearchBudget.Exceeded    => Dnf(s"budget ${e.limit} visits")
@@ -61,8 +64,8 @@ object Harness {
   }
 
   def fmtCell(o: Outcome): (String, String) = o match {
-    case Done(size, ms, _) => (size.toString, f"${ms / 1000.0}%.2f")
-    case Dnf(_)            => ("-", "-")
+    case d: Done => (d.size.toString, f"${d.millis / 1000.0}%.2f")
+    case Dnf(_)  => ("-", "-")
   }
 
   /** Render rows as an aligned ASCII table. */

@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.CoverResult
 import repro.testkit.TestGraphs
 
 class HarnessSpec extends AnyFunSuite {
@@ -15,8 +16,8 @@ class HarnessSpec extends AnyFunSuite {
     val g = TestGraphs.figure1
     for (algo <- Seq("DARC-DV", "BUR", "BUR+", "TDB", "TDB+", "TDB++")) {
       Harness.runAlgo(g, algo, k = 5) match {
-        case Harness.Done(size, _, _) => assert(size >= 1, algo)
-        case Harness.Dnf(r)           => fail(s"$algo DNF: $r")
+        case d: Harness.Done => assert(d.size >= 1, algo)
+        case Harness.Dnf(r)  => fail(s"$algo DNF: $r")
       }
     }
   }
@@ -35,7 +36,8 @@ class HarnessSpec extends AnyFunSuite {
   }
 
   test("fmtCell renders sizes and DNFs") {
-    assert(Harness.fmtCell(Harness.Done(12, 1500, Map.empty)) == ("12", "1.50"))
+    val twelve = CoverResult(Array.tabulate(12)(_.toLong), Map.empty)
+    assert(Harness.fmtCell(Harness.Done(twelve, 1500)) == ("12", "1.50"))
     assert(Harness.fmtCell(Harness.Dnf("too big")) == ("-", "-"))
   }
 

@@ -68,6 +68,32 @@ class CoverValidatorSpec extends AnyFunSuite {
     }
   }
 
+  test("isValid fast and slow paths agree with cycle enumeration on random covers") {
+    val graphs = (1 to 6).map(seed => TestGraphs.random(14, 45, seed)) ++
+      (1 to 4).map(seed => TestGraphs.randomWithReciprocals(12, 30, 0.5, seed))
+    val seen = scala.collection.mutable.Set.empty[Boolean]
+    for ((g, gi) <- graphs.zipWithIndex; k <- 3 to 6; minLen <- Seq(2, 3)) {
+      val rnd = new scala.util.Random(gi * 31L + k * 7L + minLen)
+      val cycles = BruteForce.enumerateCycles(g, k, minLen)
+      val topDown = TopDown.cover(g, k, minLen).cover
+      // Random subsets, a minimal cover, and that cover with any one vertex removed.
+      val randomCovers = Seq.fill(6) {
+        val p = rnd.nextDouble()
+        g.ids.filter(_ => rnd.nextDouble() < p)
+      }
+      val dropOne = topDown.indices.map(i => topDown.patch(i, Nil, 1))
+      for (cover <- randomCovers ++ (topDown +: dropOne)) {
+        val inCover = cover.map(id => java.util.Arrays.binarySearch(g.ids, id)).toSet
+        val expected = cycles.forall(_.exists(inCover))
+        val ctx = s"graph=$gi k=$k minLen=$minLen cover=${cover.mkString(",")}"
+        assert(CoverValidator.isValid(g, k, minLen, cover, fast = true) == expected, s"fast $ctx")
+        assert(CoverValidator.isValid(g, k, minLen, cover, fast = false) == expected, s"slow $ctx")
+        seen += expected
+      }
+    }
+    assert(seen == Set(true, false)) // both outcomes are exercised
+  }
+
   test("isMinimal fast and slow paths agree on random covers") {
     val graphs = Seq(TestGraphs.triangle, TestGraphs.square, TestGraphs.bowTie,
                      TestGraphs.twoCyclePlusTriangle, TestGraphs.figure1) ++
