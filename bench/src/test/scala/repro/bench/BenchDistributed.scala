@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.dist.DistributedTDB
-import repro.graphgen.Datasets
+import repro.graphgen.{CorePeriphery, Datasets}
 
 /** Scalability bench for the distributed TDB++ pipeline — the dataflow
   * counterpart of the paper's billion-scale claim (Table III's FLK/LJ/WKP/
@@ -17,9 +17,10 @@ import repro.graphgen.Datasets
 class BenchDistributed extends SparkSpec {
 
   test("Distributed TDB++ on heavy datasets (k=5)") {
+    import spark.implicits._
     val k = 5
     val rows = Datasets.all.filter(_.heavyOnly).map { spec =>
-      val edges = spec.edges(spark).cache()
+      val edges = CorePeriphery.pairs(spec.edges).toDF("src", "dst").cache()
       val m = edges.count()
       val t = Harness.time(DistributedTDB.cover(spark, edges, k))
       val r = t.value

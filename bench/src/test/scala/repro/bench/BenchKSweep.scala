@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.graphgen.Datasets
 
 /** Reproduces paper Figs. 6/7 (runtime and cover size while k varies 3..7)
@@ -11,13 +11,13 @@ import repro.graphgen.Datasets
   * slowest; BUR+ smallest cover, TDB++ within a few percent, DARC-DV
   * largest; BUR and BUR+ run alike but BUR+ covers are smaller.
   */
-class BenchKSweep extends SparkSpec {
+class BenchKSweep extends AnyFunSuite {
 
   test("Fig 6/7 table: runtime and cover size, k=3..7") {
     val ks = 3 to 7
     val rows = for {
       spec <- Datasets.speedup
-      g = Harness.loadGraph(spark, spec)
+      g = Harness.loadGraph(spec)
       k <- ks
     } yield {
       val darc = Harness.runAlgo(g, "DARC-DV", k)
@@ -38,7 +38,7 @@ class BenchKSweep extends SparkSpec {
     val ks = 3 to 6
     val rows = for {
       spec <- Datasets.speedup
-      g = Harness.loadGraph(spark, spec)
+      g = Harness.loadGraph(spec)
       k <- ks
     } yield {
       val bur = Harness.runAlgo(g, "BUR", k)

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.TopDown
 import repro.graphgen.Datasets
 
@@ -13,13 +13,13 @@ import repro.graphgen.Datasets
   * advantage grows with k. Plain TDB may exhaust the search budget at
   * large k (printed "-"), which is itself the paper's point.
   */
-class BenchSpeedup extends SparkSpec {
+class BenchSpeedup extends AnyFunSuite {
 
   test("Fig 10 table: Top-Down technique speed-ups, k=3..7") {
     val ks = 3 to 7
     val rows = for {
       spec <- Datasets.speedup
-      g = Harness.loadGraph(spark, spec)
+      g = Harness.loadGraph(spec)
       k <- ks
     } yield {
       val t0 = Harness.runAlgo(g, "TDB", k)

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.graphgen.Datasets
 
 /** Reproduces paper Table II — dataset statistics (|V|, |E|, d_avg).
@@ -11,11 +11,11 @@ import repro.graphgen.Datasets
   * statistics after self-loop/duplicate removal so EXPERIMENTS.md can put
   * them next to the paper's Table II.
   */
-class BenchTableII extends SparkSpec {
+class BenchTableII extends AnyFunSuite {
 
   test("Table II: dataset statistics") {
     val rows = Datasets.all.map { spec =>
-      val g = Harness.loadGraph(spark, spec)
+      val g = Harness.loadGraph(spec)
       val dAvg = if (g.n == 0) 0.0 else g.m.toDouble / g.n
       Seq(spec.name, spec.mimics, spec.model, g.n.toString, g.m.toString, f"$dAvg%.1f")
     }

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{CoverValidator, DirectedGraph, TopDown}
 import repro.graphgen.Datasets
 
@@ -18,7 +18,7 @@ import repro.graphgen.Datasets
   * is checked for validity only: it maps an edge-minimal line-graph
   * transversal back to vertices, which need not be vertex-minimal.
   */
-class BenchTableIII extends SparkSpec {
+class BenchTableIII extends AnyFunSuite {
 
   private val k = 5
 
@@ -31,7 +31,7 @@ class BenchTableIII extends SparkSpec {
 
   test("Table III: cover size and runtime at k=5") {
     val rows = Datasets.all.map { spec =>
-      val g = Harness.loadGraph(spark, spec)
+      val g = Harness.loadGraph(spec)
       val tdb = Harness.time(TopDown.cover(g, k))
       check(g, spec.name, "TDB++", tdb.value.cover, minimal = true)
       val darc =

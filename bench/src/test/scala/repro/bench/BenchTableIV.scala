@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{CoverValidator, TopDown}
 import repro.graphgen.Datasets
 
@@ -11,13 +11,13 @@ import repro.graphgen.Datasets
   * to ~8.6× (average ≈ 3×), with the inflation largest on graphs rich in
   * reciprocated edges.
   */
-class BenchTableIV extends SparkSpec {
+class BenchTableIV extends AnyFunSuite {
 
   private val k = 5
 
   test("Table IV: cover size with and without 2-cycles, k=5") {
     val rows = Datasets.all.filterNot(_.heavyOnly).map { spec =>
-      val g = Harness.loadGraph(spark, spec)
+      val g = Harness.loadGraph(spec)
       val no2 = Harness.time(TopDown.cover(g, k, minLen = 3))
       val with2 = Harness.time(TopDown.cover(g, k, minLen = 2))
       assert(CoverValidator.isValid(g, k, 2, with2.value.cover, fast = true),

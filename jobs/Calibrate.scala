@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.bench.Harness
 import repro.core.TopDown
 import repro.graphgen.Datasets
@@ -13,23 +12,19 @@ object Calibrate {
   def main(args: Array[String]): Unit = {
     val k = if (args.nonEmpty) args(0).toInt else 5
     val only = if (args.length > 1) Some(args(1)) else None
-    val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).appName("Calibrate").getOrCreate()
-    spark.sparkContext.setLogLevel("WARN")
-    try {
-      val withBase = args.length > 2 && args(2) == "baselines"
-      for (spec <- Datasets.all if only.forall(_ == spec.name)) {
-        val g = Harness.loadGraph(spark, spec)
-        val t = Harness.time(TopDown.cover(g, k))
-        val extra = if (!withBase || spec.heavyOnly) "" else {
-          def cell(algo: String) = Harness.runAlgo(g, algo, k) match {
-            case d: Harness.Done => f"$algo=${d.size}%d/${d.millis / 1000.0}%.1fs"
-            case Harness.Dnf(r)  => s"$algo=DNF($r)"
-          }
-          "  " + cell("BUR+") + "  " + cell("DARC-DV")
+    val withBase = args.length > 2 && args(2) == "baselines"
+    for (spec <- Datasets.all if only.forall(_ == spec.name)) {
+      val g = Harness.loadGraph(spec)
+      val t = Harness.time(TopDown.cover(g, k))
+      val extra = if (!withBase || spec.heavyOnly) "" else {
+        def cell(algo: String) = Harness.runAlgo(g, algo, k) match {
+          case d: Harness.Done => f"$algo=${d.size}%d/${d.millis / 1000.0}%.1fs"
+          case Harness.Dnf(r)  => s"$algo=DNF($r)"
         }
-        println(f"[CAL] ${spec.name}%-6s n=${g.n}%7d m=${g.m}%8d cover=${t.value.size}%7d " +
-          f"frac=${100.0 * t.value.size / math.max(1, g.n)}%5.1f%% tdbpp=${t.millis / 1000.0}%7.2fs" + extra)
+        "  " + cell("BUR+") + "  " + cell("DARC-DV")
       }
-    } finally spark.stop()
+      println(f"[CAL] ${spec.name}%-6s n=${g.n}%7d m=${g.m}%8d cover=${t.value.size}%7d " +
+        f"frac=${100.0 * t.value.size / math.max(1, g.n)}%5.1f%% tdbpp=${t.millis / 1000.0}%7.2fs" + extra)
+    }
   }
 }

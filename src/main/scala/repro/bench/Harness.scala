@@ -1,12 +1,11 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
 import repro.core.{BottomUp, CoverResult, DirectedGraph, SearchBudget, TopDown}
 import repro.darc.DarcDV
-import repro.graphgen.DatasetSpec
+import repro.graphgen.{CorePeriphery, DatasetSpec}
 
 /** Shared benchmark plumbing for the table-reproduction suites and the
-  * spark-submit jobs: dataset loading, timing, DNF handling, and aligned
+  * jobs: dataset loading, timing, DNF handling, and aligned
   * ASCII table rendering. All rows are also echoed with a `[TABLE x]`
   * prefix so EXPERIMENTS.md numbers can be regenerated by grepping the
   * bench log.
@@ -22,11 +21,8 @@ object Harness {
   }
 
   /** Generate a dataset's edges and build the in-memory CSR graph. */
-  def loadGraph(spark: SparkSession, spec: DatasetSpec): DirectedGraph = {
-    import spark.implicits._
-    val pairs = spec.edges(spark).select($"src", $"dst").as[(Long, Long)].collect()
-    DirectedGraph.fromEdges(pairs.toSeq)
-  }
+  def loadGraph(spec: DatasetSpec): DirectedGraph =
+    DirectedGraph.fromEdges(CorePeriphery.pairs(spec.edges))
 
   sealed trait Outcome
   /** A finished run keeps its whole result, so a suite can check the cover. */

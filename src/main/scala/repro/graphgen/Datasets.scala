@@ -1,14 +1,12 @@
 package repro.graphgen
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-
 /** Named synthetic stand-ins for the paper's evaluation datasets (Table II).
   *
-  * Every stand-in uses [[GraphGen.corePeriphery]]: a dense random directed
-  * core (the giant-SCC analogue whose interlocking short cycles force the
-  * cover size) plus a ~99% rank-forward dense periphery (the acyclic
-  * fringe), `mRecip` rank-local reciprocal pairs (drive the
-  * Table IV with-2-cycle ratios without spawning extra ≥3-cycles), and an affine id scramble. `nCore`/`mCore`
+  * Every stand-in uses [[CorePeriphery]]: a dense random directed core (the
+  * giant-SCC analogue whose interlocking short cycles force the cover size)
+  * plus a ~99% rank-forward dense periphery (the acyclic fringe), `mRecip`
+  * rank-local reciprocal pairs (drive the Table IV with-2-cycle ratios
+  * without spawning extra ≥3-cycles), and an affine id scramble. `nCore`/`mCore`
   * set the core scale and density — the lever that controls how hard the
   * bounded-DFS baselines work — while `m` sets the total edge budget.
   *
@@ -35,9 +33,11 @@ final case class DatasetSpec(
 ) {
   def model: String = "core+peri"
 
-  def edges(spark: SparkSession): DataFrame =
-    GraphGen.corePeriphery(spark, n, nCore, mCore, math.max(0L, m - mCore),
-      fb = forwardBias, mRecip = mRecip, seed = name.hashCode.toLong & 0xffff)
+  /** The seed: a function of the name alone. */
+  def seed: Long = name.hashCode.toLong & 0xffff
+
+  /** Encoded `src << 32 | dst` edges, ascending (see [[CorePeriphery]]). */
+  def edges: Array[Long] = CorePeriphery.edges(n, nCore, mCore, m, forwardBias, mRecip, seed)
 }
 
 object Datasets {

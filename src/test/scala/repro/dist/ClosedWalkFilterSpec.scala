@@ -4,6 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.BruteForce
+import repro.graphgen.CorePeriphery
 import repro.testkit.TestGraphs
 
 class ClosedWalkFilterSpec extends SparkSpec {
@@ -133,5 +134,24 @@ class ClosedWalkFilterSpec extends SparkSpec {
     import spark.implicits._
     val empty = Seq.empty[(Long, Long)].toDF("src", "dst")
     assert(ClosedWalkFilter.candidates(empty, 5).count() == 0)
+  }
+
+  test("degree statistics agree with the DuckDB oracle") {
+    import spark.implicits._
+    // A seeded uniform draw: 800 edges over 200 vertices.
+    val edges = CorePeriphery.pairs(CorePeriphery.edges(200, 200, 800, 800, 0.0, 0, seed = 7))
+      .toDF("src", "dst")
+    val sparkStats = edges.groupBy("src")
+      .agg(count(lit(1)) as "outdeg")
+      .agg(count(lit(1)) as "n_sources",
+           sum("outdeg").cast("double") as "total_edges",
+           max("outdeg").cast("double") as "max_outdeg")
+    Oracle.assertEquivalent(
+      sparkStats,
+      """SELECT count(*) AS n_sources,
+        |       CAST(sum(outdeg) AS DOUBLE) AS total_edges,
+        |       CAST(max(outdeg) AS DOUBLE) AS max_outdeg
+        |FROM (SELECT src, count(*) AS outdeg FROM edges GROUP BY src)""".stripMargin,
+      "edges" -> edges)
   }
 }

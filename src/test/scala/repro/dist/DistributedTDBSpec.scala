@@ -3,7 +3,7 @@ package repro.dist
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.core.{CoverValidator, DirectedGraph, TopDown}
-import repro.graphgen.GraphGen
+import repro.graphgen.CorePeriphery
 import repro.testkit.TestGraphs
 
 class DistributedTDBSpec extends SparkSpec {
@@ -16,6 +16,11 @@ class DistributedTDBSpec extends SparkSpec {
   private def toDf(g: DirectedGraph): DataFrame = {
     import spark.implicits._
     g.edgeSeq.toDF("src", "dst")
+  }
+
+  private def toDf(edges: Array[Long]): DataFrame = {
+    import spark.implicits._
+    CorePeriphery.pairs(edges).toDF("src", "dst")
   }
 
   test("distributed cover of a triangle matches sequential TDB++") {
@@ -55,13 +60,14 @@ class DistributedTDBSpec extends SparkSpec {
 
   test("core is (much) smaller than the input on cycle-sparse graphs") {
     // sparse uniform graph: most of it is acyclic fringe at k=4
-    val edges = GraphGen.uniform(spark, n = 3000, m = 4000, seed = 17)
+    val e = CorePeriphery.edges(n = 3000, nCore = 3000, mCore = 4000, m = 4000, fb = 0.0,
+      mRecip = 0, seed = 17)
+    val edges = toDf(e)
     val res = DistributedTDB.cover(spark, edges, k = 4)
     assert(res.coreEdgeCount < edges.count() / 2,
       s"core ${res.coreEdgeCount} vs input ${edges.count()}")
     // and the cover it finds is still valid for the full graph
-    val g = DirectedGraph.fromEdges(
-      edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq)
+    val g = DirectedGraph.fromEdges(CorePeriphery.pairs(e))
     val cover = res.cover.collect().map(_.getLong(0)).sorted
     assert(CoverValidator.isValid(g, 4, 3, cover, fast = true))
   }
@@ -81,10 +87,11 @@ class DistributedTDBSpec extends SparkSpec {
   }
 
   test("end-to-end on a medium power-law graph: valid cover") {
-    val edges = GraphGen.powerLaw(spark, n = 2000, m = 12000, seed = 23)
-    val res = DistributedTDB.cover(spark, edges, k = 4)
-    val g = DirectedGraph.fromEdges(
-      edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSeq)
+    // Skewed degrees: a 200-vertex hub core plus a mostly forward periphery.
+    val e = CorePeriphery.edges(n = 2000, nCore = 200, mCore = 3000, m = 12000, fb = 0.9,
+      mRecip = 0, seed = 23)
+    val res = DistributedTDB.cover(spark, toDf(e), k = 4)
+    val g = DirectedGraph.fromEdges(CorePeriphery.pairs(e))
     val cover = res.cover.collect().map(_.getLong(0)).sorted
     assert(CoverValidator.isValid(g, 4, 3, cover, fast = true))
     assert(CoverValidator.isMinimal(g, 4, 3, cover, fast = true))
