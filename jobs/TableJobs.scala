@@ -81,7 +81,7 @@ object DistCover {
   def main(args: Array[String]): Unit = {
     val dataset = if (args.nonEmpty) args(0) else "LJ-S"
     val k = if (args.length > 1) args(1).toInt else 5
-    val spark = SparkSession.builder.master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).appName("DistCover").getOrCreate()
+    val spark = SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).appName("DistCover").getOrCreate()
     import spark.implicits._
     try {
       val edges = CorePeriphery.pairs(Datasets.byName(dataset).edges).toDF("src", "dst").cache()

@@ -1,8 +1,9 @@
 package repro.dist
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.{CoverResult, DirectedGraph, TopDown}
+
+import scala.collection.immutable.ArraySeq
 
 /** Distributed Top-Down hop-constrained cycle cover.
   *
@@ -13,8 +14,10 @@ import repro.core.{CoverResult, DirectedGraph, TopDown}
   *
   *  1. DataFrame trim + k-bounded closed-walk filter
   *     ([[ClosedWalkFilter]], the distributed Algorithm 11),
-  *  2. collect the induced core and run sequential TDB++
-  *     ([[repro.core.TopDown]]) over it in ascending vertex-id order.
+  *  2. collect the induced core (its edge count capped by the driver
+  *     heap) and run sequential TDB++ ([[repro.core.TopDown]]) over it in
+  *     ascending vertex-id order; the core's vertex count is that of the
+  *     collected graph, so no Spark job counts it.
   *
   * The result is EXACTLY the cover sequential TDB++ would compute on the
   * full graph (same order): filtered-out vertices are on no constrained
@@ -27,22 +30,37 @@ object DistributedTDB {
   final case class DistCover(cover: DataFrame, coreVertices: Long, coreEdgeCount: Long,
                              result: CoverResult)
 
+  /** Driver bytes per collected core edge: the `(Long, Long)` tuple and its
+    * array slot (40), the builder's edge arrays (two id columns, the encoded
+    * edges and both adjacency arrays: 32), and its vertex arrays (id, two
+    * offsets and id-table slots at load >= 1/4: at most 64 per vertex).
+    * Every core vertex lies on a closed walk inside the core, so it has an
+    * out-edge there: the core has no more vertices than edges.
+    */
+  private val BytesPerCoreEdge = 136L
+
+  /** Core edges the driver collects into half its heap; the other half is
+    * left to Spark and the cover.
+    */
+  private def heapEdgeLimit: Long = Runtime.getRuntime.maxMemory / 2 / BytesPerCoreEdge
+
   def cover(spark: SparkSession, edges: DataFrame, k: Int, minLen: Int = 3,
-            maxCoreEdges: Long = 50_000_000L): DistCover = {
+            maxCoreEdges: Long = heapEdgeLimit): DistCover = {
     import spark.implicits._
     val core = ClosedWalkFilter.coreEdges(ClosedWalkFilter.clean(edges), k).persist()
     val coreEdgeCount = core.count()
-    require(coreEdgeCount <= maxCoreEdges,
-      s"cyclic core still has $coreEdgeCount edges (> $maxCoreEdges); " +
-        "raise maxCoreEdges or shrink k")
-    val coreVertices = core.select($"src" as "v").union(core.select($"dst" as "v"))
-      .distinct().count()
+    if (coreEdgeCount > maxCoreEdges) {
+      core.unpersist()
+      throw new IllegalArgumentException(
+        s"cyclic core has $coreEdgeCount edges, more than the $maxCoreEdges the driver " +
+          s"collects with a ${Runtime.getRuntime.maxMemory >> 20} MB heap " +
+          s"($BytesPerCoreEdge bytes per edge in at most half of it); raise -Xmx or shrink k")
+    }
 
-    val edgePairs = core.as[(Long, Long)].collect()
-    val g = DirectedGraph.fromEdges(edgePairs.toSeq)
-    val res = TopDown.cover(g, k, minLen, TopDown.TDBPlusPlus)
+    val g = DirectedGraph.fromEdges(ArraySeq.unsafeWrapArray(core.as[(Long, Long)].collect()))
     core.unpersist()
+    val res = TopDown.cover(g, k, minLen, TopDown.TDBPlusPlus)
     val coverDf = spark.createDataset(res.cover.toSeq).toDF("v")
-    DistCover(coverDf, coreVertices, coreEdgeCount, res)
+    DistCover(coverDf, g.n, coreEdgeCount, res)
   }
 }

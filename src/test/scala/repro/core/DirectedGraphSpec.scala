@@ -1,7 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.testkit.TestGraphs
+import repro.testkit.{ReferenceCsr, TestGraphs}
 
 class DirectedGraphSpec extends AnyFunSuite {
 
@@ -112,5 +113,52 @@ class DirectedGraphSpec extends AnyFunSuite {
     val g2 = DirectedGraph.fromEdges(shuffled)
     assert(g1.m == g2.m)
     assert(g1.edgeSeq.toSet == g2.edgeSeq.toSet)
+  }
+
+  /** Edges over `nIds` ids drawn from small, negative, `>= 2^32` and full
+    * 64-bit values: random pairs (some of them self-loops), extra self-loops,
+    * repeats of earlier edges, and `Long.MinValue` only on a self-loop. The
+    * list is shuffled, or sorted as the generators emit it.
+    */
+  private def messyEdges(nIds: Int, m: Int, sorted: Boolean, seed: Long): Seq[(Long, Long)] = {
+    val rnd = new scala.util.Random(seed)
+    val pool = Array.fill(nIds)(rnd.nextInt(4) match {
+      case 0 => rnd.nextInt(1000).toLong
+      case 1 => -1L - rnd.nextInt(1000)
+      case 2 => (1L << 32) + rnd.nextInt(1000)
+      case _ => rnd.nextLong()
+    })
+    def pick(): Long = pool(rnd.nextInt(nIds))
+    val pairs = Seq.fill(m)((pick(), pick()))
+    val loops = Seq.fill(m / 10) { val v = pick(); (v, v) }
+    val all = pairs ++ loops ++ pairs.take(m / 5) :+ ((Long.MinValue, Long.MinValue))
+    if (sorted) all.sorted else rnd.shuffle(all)
+  }
+
+  private def sameAsReference(edges: Seq[(Long, Long)]): Boolean = {
+    val g = DirectedGraph.fromEdges(edges)
+    val r = ReferenceCsr.build(edges)
+    g.n == r.ids.length && g.ids.sameElements(r.ids) &&
+      g.outOff.sameElements(r.outOff) && g.outAdj.sameElements(r.outAdj) &&
+      g.inOff.sameElements(r.inOff) && g.inAdj.sameElements(r.inAdj)
+  }
+
+  test("property: fromEdges builds the reference CSR arrays element by element") {
+    val edgeGen = for {
+      nIds <- Gen.choose(1, 600)
+      m <- Gen.choose(0, 2000)
+      sorted <- Gen.oneOf(false, true)
+      seed <- Gen.choose(0L, 1000000L)
+    } yield messyEdges(nIds, m, sorted, seed)
+    val res = SCTest.check(
+      SCTest.Parameters.default.withMinSuccessfulTests(100)
+        .withInitialSeed(org.scalacheck.rng.Seed(7L)),
+      Prop.forAll(edgeGen)(sameAsReference))
+    assert(res.passed, res.status.toString)
+    assert(sameAsReference(Seq.empty))
+    assert(sameAsReference(Seq((5L, 5L))))
+    // 20,001 distinct ids: the id table doubles from 16 slots to 65,536.
+    val path = (0 until 20000).map(i => (i * 7919L - 50000L, (i + 1) * 7919L - 50000L))
+    assert(sameAsReference(new scala.util.Random(3).shuffle(path)))
   }
 }

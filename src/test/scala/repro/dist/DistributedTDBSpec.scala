@@ -79,6 +79,15 @@ class DistributedTDBSpec extends SparkSpec {
     }
   }
 
+  test("the core guard names the heap and the core size") {
+    val e = intercept[IllegalArgumentException] {
+      DistributedTDB.cover(spark, df((0, 1), (1, 2), (2, 0)), k = 3, maxCoreEdges = 2)
+    }
+    val heapMb = Runtime.getRuntime.maxMemory >> 20
+    assert(e.getMessage.contains("core has 3 edges") &&
+      e.getMessage.contains(s"$heapMb MB heap"), e.getMessage)
+  }
+
   test("with-2-cycles mode covers 2-cycles end-to-end") {
     val res = DistributedTDB.cover(spark, df((0, 1), (1, 0)), k = 5, minLen = 2)
     assert(res.cover.count() == 1)

@@ -1,6 +1,7 @@
 package repro.graphgen
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.bench.Harness
 import repro.core.{DirectedGraph, TopDown}
 
 class GraphGenSpec extends AnyFunSuite {
@@ -113,11 +114,15 @@ class GraphGenSpec extends AnyFunSuite {
   }
 
   test("datasets registry: all specs generate non-empty graphs") {
-    // Tiny override through the generator API itself (full specs are bench-scale).
-    val spec = Datasets.byName("WKV-S")
-    assert(spec.mimics == "Wiki-Vote")
+    assert(Datasets.byName("WKV-S").mimics == "Wiki-Vote")
     assert(Datasets.all.map(_.name).distinct.size == Datasets.all.size)
     assert(Datasets.speedup.map(_.name) == Seq("WKV-S", "WGO-S"))
+    for (spec <- Datasets.all) {
+      val g = Harness.loadGraph(spec)
+      assert(g.n > 0 && g.m > 0, spec.name)
+      assert(g.ids.indices.tail.forall(i => g.ids(i - 1) < g.ids(i)), spec.name)
+      assert(g.n <= spec.n, spec.name)
+    }
   }
 
   test("datasets registry rejects unknown names") {
