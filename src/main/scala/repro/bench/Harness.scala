@@ -4,11 +4,12 @@ import repro.core.{BottomUp, CoverResult, DirectedGraph, SearchBudget, TopDown}
 import repro.darc.DarcDV
 import repro.graphgen.{CorePeriphery, DatasetSpec}
 
-/** Shared benchmark plumbing for the table-reproduction suites and the
-  * jobs: dataset loading, timing, DNF handling, and aligned
-  * ASCII table rendering. All rows are also echoed with a `[TABLE x]`
-  * prefix so EXPERIMENTS.md numbers can be regenerated by grepping the
-  * bench log.
+import scala.collection.immutable.ArraySeq
+
+/** Shared plumbing of the paper experiments ([[Experiments]]) and the jobs:
+  * dataset loading, timing, DNF handling, and aligned ASCII table
+  * rendering. All rows are also echoed with a `[TABLE x]` prefix so
+  * EXPERIMENTS.md numbers can be regenerated by grepping the log.
   */
 object Harness {
 
@@ -20,12 +21,17 @@ object Harness {
     Timed(v, (System.nanoTime() - t0) / 1000000L)
   }
 
-  /** Generate a dataset's edges and build the in-memory CSR graph. */
+  /** Generate a dataset's edges and build the in-memory CSR graph from a
+    * lazy, sized view of them: no array of pairs is held.
+    */
   def loadGraph(spec: DatasetSpec): DirectedGraph =
-    DirectedGraph.fromEdges(CorePeriphery.pairs(spec.edges))
+    DirectedGraph.fromEdges(
+      ArraySeq.unsafeWrapArray(spec.edges).view.map(e => (CorePeriphery.src(e), CorePeriphery.dst(e))))
 
-  sealed trait Outcome
-  /** A finished run keeps its whole result, so a suite can check the cover. */
+  sealed trait Outcome {
+    def done: Option[Done] = this match { case d: Done => Some(d); case _: Dnf => None }
+  }
+  /** A finished run keeps its whole result, so an experiment can check the cover. */
   final case class Done(result: CoverResult, millis: Long) extends Outcome {
     def size: Int = result.size
   }
@@ -64,6 +70,25 @@ object Harness {
     case Dnf(_)  => ("-", "-")
   }
 
+  /** The "-" cells of one table, each kept with the reason its run did not finish. */
+  final class DnfLog {
+    private val lines = Seq.newBuilder[String]
+
+    /** The size and seconds cells of one run; a DNF also logs its reason. */
+    def cells(dataset: String, algo: String, k: Int, o: Outcome): Seq[String] = {
+      o match { case Dnf(reason) => lines += s"DNF $dataset $algo k=$k: $reason"; case _ => () }
+      val (size, secs) = fmtCell(o)
+      Seq(size, secs)
+    }
+
+    def result: Seq[String] = lines.result()
+  }
+
+  /** One experiment's output: the header and rows of its `[tag]` table, and
+    * one `DNF <dataset> <algo> k=<k>: <reason>` line per run shown as "-".
+    */
+  final case class Table(tag: String, header: Seq[String], rows: Seq[Seq[String]], dnfs: Seq[String])
+
   /** Render rows as an aligned ASCII table. */
   def table(headers: Seq[String], rows: Seq[Seq[String]]): String = {
     val all = headers +: rows
@@ -74,7 +99,7 @@ object Harness {
     (line(headers) +: sep +: rows.map(line)).mkString("\n")
   }
 
-  /** Echo a table with a grep-friendly tag on every line. */
-  def emit(tag: String, rendered: String): Unit =
-    rendered.linesIterator.foreach(l => println(s"[$tag] $l"))
+  /** Echo a table, then its DNF lines, with a grep-friendly tag on every line. */
+  def emit(t: Table): Unit =
+    (table(t.header, t.rows).linesIterator ++ t.dnfs).foreach(l => println(s"[${t.tag}] $l"))
 }

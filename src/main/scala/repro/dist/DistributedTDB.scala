@@ -47,7 +47,7 @@ object DistributedTDB {
   def cover(spark: SparkSession, edges: DataFrame, k: Int, minLen: Int = 3,
             maxCoreEdges: Long = heapEdgeLimit): DistCover = {
     import spark.implicits._
-    val core = ClosedWalkFilter.coreEdges(ClosedWalkFilter.clean(edges), k).persist()
+    val core = ClosedWalkFilter.coreEdges(edges, k).persist()
     val coreEdgeCount = core.count()
     if (coreEdgeCount > maxCoreEdges) {
       core.unpersist()

@@ -102,9 +102,7 @@ object CorePeriphery {
     java.util.Arrays.copyOf(raw, w)
   }
 
-  /** The edges as the (src, dst) pairs that `DirectedGraph.fromEdges` and
-    * Spark's `toDF` take.
-    */
+  /** The edges as the (src, dst) pairs that Spark's `toDF` takes. */
   def pairs(edges: Array[Long]): Seq[(Long, Long)] =
     ArraySeq.unsafeWrapArray(edges.map(e => (src(e), dst(e))))
 }

@@ -1,7 +1,7 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.CoverResult
+import repro.core.{BottomUp, CoverResult, SearchBudget}
 import repro.testkit.TestGraphs
 
 class HarnessSpec extends AnyFunSuite {
@@ -39,6 +39,20 @@ class HarnessSpec extends AnyFunSuite {
     val twelve = CoverResult(Array.tabulate(12)(_.toLong), Map.empty)
     assert(Harness.fmtCell(Harness.Done(twelve, 1500)) == ("12", "1.50"))
     assert(Harness.fmtCell(Harness.Dnf("too big")) == ("-", "-"))
+  }
+
+  test("a DNF cell renders \"-\" and prints its reason after the table") {
+    val dnfs = new Harness.DnfLog
+    val o = Harness.outcomeOf(BottomUp.cover(TestGraphs.figure1, 5, budget = new SearchBudget(1)))
+    val cells = dnfs.cells("FIG1", "BUR", 5, o)
+    assert(cells == Seq("-", "-"))
+    val out = new java.io.ByteArrayOutputStream
+    Console.withOut(out) {
+      Harness.emit(Harness.Table("T", Seq("Name", "BUR size", "BUR s"), Seq("FIG1" +: cells), dnfs.result))
+    }
+    val lines = out.toString.linesIterator.toSeq
+    assert(lines.length == 4 && lines.take(3).forall(_.startsWith("[T] |")), lines)
+    assert(lines(3) == "[T] DNF FIG1 BUR k=5: budget 1 visits")
   }
 
   test("table renders aligned rows") {

@@ -2,6 +2,7 @@ package repro.dist
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
+import repro.bench.{Experiments, Harness}
 import repro.core.{CoverValidator, DirectedGraph, TopDown}
 import repro.graphgen.CorePeriphery
 import repro.testkit.TestGraphs
@@ -104,5 +105,15 @@ class DistributedTDBSpec extends SparkSpec {
     val cover = res.cover.collect().map(_.getLong(0)).sorted
     assert(CoverValidator.isValid(g, 4, 3, cover, fast = true))
     assert(CoverValidator.isMinimal(g, 4, 3, cover, fast = true))
+  }
+
+  test("the DIST experiment: core and cover of a tiny roster row") {
+    val spec = TestGraphs.tinyRoster.minBy(_.m)
+    val t = Experiments.dist(spark, Seq(spec))
+    assert(t.header == Seq("Name", "|E|", "core |E|", "core %", "cover", "total s"))
+    val g = Harness.loadGraph(spec)
+    val Seq(Seq(name, m, core, _, cover, _)) = t.rows
+    assert(name == spec.name && m.toInt == g.m && core.toInt <= g.m)
+    assert(cover.toInt == TopDown.cover(g, 5).size)
   }
 }

@@ -2,6 +2,7 @@ package repro.testkit
 
 import scala.util.Random
 import repro.core.DirectedGraph
+import repro.graphgen.DatasetSpec
 
 /** Deterministic small graphs for unit and property tests. */
 object TestGraphs {
@@ -78,4 +79,13 @@ object TestGraphs {
     }
     DirectedGraph.fromEdges(edges)
   }
+
+  /** Two roster rows named like the speed-up datasets, at 300 vertices:
+    * small enough for every experiment, DARC-DV and plain TDB at k = 7
+    * included, to run in a unit test.
+    */
+  def tinyRoster: Seq[DatasetSpec] = Seq(
+    DatasetSpec("WKV-S", "Wiki-Vote", 300, 60, 360, 2400, 0.99, 20, heavyOnly = false),
+    DatasetSpec("WGO-S", "webGoogle", 300, 80, 320, 1800, 0.99, 20, heavyOnly = false),
+  )
 }
