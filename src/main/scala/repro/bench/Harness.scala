@@ -39,8 +39,10 @@ object Harness {
 
   /** Visit budget for the worst-case-exponential searches, so a blow-up in
     * a baseline prints "-" (like the paper's dashes) instead of hanging the
-    * bench. ~1e10 visits is a few minutes of JVM search. Override with
-    * BENCH_BUDGET. TDB+/TDB++ are O(k·m) per validation and need none.
+    * bench. The default of 1e10 visits costs about 15 minutes per DNF cell
+    * (two DARC-DV k = 7 cells of Fig. 6/7 at BENCH_SCALE=0.25 took about
+    * 1,790 s on a 4-vCPU VM). Override with BENCH_BUDGET. TDB+/TDB++ are
+    * O(k·m) per validation and need none.
     */
   def searchBudget: SearchBudget =
     new SearchBudget(sys.env.get("BENCH_BUDGET").map(_.toLong).getOrElse(10_000_000_000L))

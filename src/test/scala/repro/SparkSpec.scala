@@ -23,8 +23,11 @@ object SparkSpec {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
+      // One shuffle partition per local core: the test inputs have at most
+      // a few thousand edges, so more partitions only add tasks.
       .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS",
+                                Runtime.getRuntime.availableProcessors.toString))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup
