@@ -47,6 +47,8 @@ object DistributedTDB {
   def cover(spark: SparkSession, edges: DataFrame, k: Int, minLen: Int = 3,
             maxCoreEdges: Long = heapEdgeLimit): DistCover = {
     import spark.implicits._
+    require(minLen >= 2, s"minimum cycle length minLen=$minLen must be at least 2")
+    require(k >= minLen, s"hop constraint k=$k below minimum cycle length $minLen")
     val core = ClosedWalkFilter.coreEdges(edges, k).persist()
     val coreEdgeCount = core.count()
     if (coreEdgeCount > maxCoreEdges) {

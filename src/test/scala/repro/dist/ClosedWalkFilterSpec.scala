@@ -85,6 +85,31 @@ class ClosedWalkFilterSpec extends SparkSpec {
     assert(core == Set((0L, 1L), (1L, 2L), (2L, 0L)))
   }
 
+  test("trim and coreEdges are induced subgraphs of the cleaned input (acyclic tails)") {
+    // Chains of 61 edges outlast the trim's round cap (50 rounds), so the
+    // trim stops early with chain edges left; chains of 4 edges do not.
+    for ((seed, chain) <- Seq((6, 60), (15, 3))) {
+      val g = TestGraphs.random(18, 50, seed)
+      // A chain into vertex 0 and one out of vertex 1; a self-loop and a
+      // duplicate edge exercise the cleaning.
+      val into = (100 until 100 + chain).map(v => (v, v + 1)) :+ ((100 + chain, 0))
+      val outOf = ((1, 200)) +: (200 until 200 + chain).map(v => (v, v + 1))
+      val raw = g.edgeSeq.map { case (s, d) => (s.toInt, d.toInt) } ++ into ++ outOf ++
+        Seq((5, 5), into.head)
+      val cleaned = raw.collect { case (s, d) if s != d => (s.toLong, d.toLong) }.toSet
+      def induced(vs: Set[Long]) = cleaned.filter { case (s, d) => vs(s) && vs(d) }
+      def pairs(d: DataFrame) = d.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+      val edges = df(raw: _*)
+      val k = 5
+
+      val trimmed = pairs(ClosedWalkFilter.trim(edges))
+      assert(trimmed.exists(_._1 >= 100) == (chain > 50), s"seed=$seed: chain edges left")
+      assert(trimmed == induced(trimmed.flatMap { case (s, d) => Seq(s, d) }), s"seed=$seed trim")
+      val core = pairs(ClosedWalkFilter.coreEdges(edges, k))
+      assert(core == induced(candidateSet(edges, k)), s"seed=$seed coreEdges")
+    }
+  }
+
   test("coreEdges preserves every constrained cycle") {
     for (seed <- Seq(4, 13)) {
       val g = TestGraphs.random(18, 60, seed)

@@ -89,6 +89,22 @@ class DistributedTDBSpec extends SparkSpec {
       e.getMessage.contains(s"$heapMb MB heap"), e.getMessage)
   }
 
+  test("minLen below 2 and k below minLen fail before any Spark work") {
+    // The input has no src/dst columns, so any Spark work on it would fail
+    // with an AnalysisException instead.
+    val noEdges = spark.emptyDataFrame
+    val low = intercept[IllegalArgumentException] {
+      DistributedTDB.cover(spark, noEdges, k = 5, minLen = 1)
+    }
+    assert(low.getMessage.contains("minimum cycle length minLen=1 must be at least 2"),
+      low.getMessage)
+    val short = intercept[IllegalArgumentException] {
+      DistributedTDB.cover(spark, noEdges, k = 2, minLen = 3)
+    }
+    assert(short.getMessage.contains("hop constraint k=2 below minimum cycle length 3"),
+      short.getMessage)
+  }
+
   test("with-2-cycles mode covers 2-cycles end-to-end") {
     val res = DistributedTDB.cover(spark, df((0, 1), (1, 0)), k = 5, minLen = 2)
     assert(res.cover.count() == 1)
