@@ -144,8 +144,8 @@ object Experiments {
     finish("FIG 10", Seq("Name", "k", "size", "TDB s", "TDB+ s", "TDB++ s", "bfs-pruned"), rows, dnfs)
   }
 
-  /** DIST: distributed TDB++ at k = 5, the input against its cyclic core
-    * after the distributed trim and closed-walk filter.
+  /** DIST: distributed TDB++ at k = 5, the input against its trimmed core
+    * ("core |E|"), the distributed trim's output that the driver collects.
     */
   def dist(spark: SparkSession, specs: Seq[DatasetSpec]): Table = {
     import spark.implicits._

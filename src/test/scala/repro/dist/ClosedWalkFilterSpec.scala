@@ -78,14 +78,7 @@ class ClosedWalkFilterSpec extends SparkSpec {
     }
   }
 
-  test("coreEdges is the induced subgraph on candidates") {
-    val e = df((0, 1), (1, 2), (2, 0), (2, 3), (3, 4)) // triangle + tail
-    val core = ClosedWalkFilter.coreEdges(e, 5).collect()
-      .map(r => (r.getLong(0), r.getLong(1))).toSet
-    assert(core == Set((0L, 1L), (1L, 2L), (2L, 0L)))
-  }
-
-  test("trim and coreEdges are induced subgraphs of the cleaned input (acyclic tails)") {
+  test("trim is an induced subgraph (acyclic tails)") {
     // Chains of 61 edges outlast the trim's round cap (50 rounds), so the
     // trim stops early with chain edges left; chains of 4 edges do not.
     for ((seed, chain) <- Seq((6, 60), (15, 3))) {
@@ -99,23 +92,18 @@ class ClosedWalkFilterSpec extends SparkSpec {
       val cleaned = raw.collect { case (s, d) if s != d => (s.toLong, d.toLong) }.toSet
       def induced(vs: Set[Long]) = cleaned.filter { case (s, d) => vs(s) && vs(d) }
       def pairs(d: DataFrame) = d.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-      val edges = df(raw: _*)
-      val k = 5
-
-      val trimmed = pairs(ClosedWalkFilter.trim(edges))
+      val trimmed = pairs(ClosedWalkFilter.trim(df(raw: _*)))
       assert(trimmed.exists(_._1 >= 100) == (chain > 50), s"seed=$seed: chain edges left")
       assert(trimmed == induced(trimmed.flatMap { case (s, d) => Seq(s, d) }), s"seed=$seed trim")
-      val core = pairs(ClosedWalkFilter.coreEdges(edges, k))
-      assert(core == induced(candidateSet(edges, k)), s"seed=$seed coreEdges")
     }
   }
 
-  test("coreEdges preserves every constrained cycle") {
+  test("trim preserves every constrained cycle") {
     for (seed <- Seq(4, 13)) {
       val g = TestGraphs.random(18, 60, seed)
       val edges = df(g.edgeSeq.map { case (s, d) => (s.toInt, d.toInt) }: _*)
       val k = 5
-      val core = ClosedWalkFilter.coreEdges(edges, k).collect()
+      val core = ClosedWalkFilter.trim(edges).collect()
         .map(r => (r.getLong(0), r.getLong(1)))
       val coreG = repro.core.DirectedGraph.fromEdges(core.toSeq)
       val orig = BruteForce.enumerateCycles(g, k).map(_.map(g.idOf).toSet).toSet
