@@ -22,8 +22,7 @@ object BottomUp {
   def cover(g: DirectedGraph, k: Int, minLen: Int = 3,
             minimalPrune: Boolean = false,
             budget: SearchBudget = SearchBudget.Unlimited): CoverResult = {
-    require(minLen >= 2, s"minimum cycle length minLen=$minLen must be at least 2")
-    require(k >= minLen, s"hop constraint k=$k below minimum cycle length $minLen")
+    CoverResult.requireBounds(k, minLen)
     val hits = new Array[Long](g.n)
     val present = Array.fill(g.n)(true) // false exactly for cover vertices
     val order = mutable.ArrayBuffer.empty[Int] // cover insertion order
@@ -67,7 +66,6 @@ object BottomUp {
       }
     }
 
-    val ids = (0 until g.n).iterator.filterNot(present).map(g.idOf).toArray
-    CoverResult(ids, Map("cyclesFound" -> cyclesFound, "pruned" -> prunedCount))
+    CoverResult.fromMask(g, present, Map("cyclesFound" -> cyclesFound, "pruned" -> prunedCount))
   }
 }

@@ -22,10 +22,9 @@ object BruteForce {
     val path = new mutable.ArrayBuffer[Int]
 
     def dfs(start: Int, u: Int): Unit = {
-      val (adj, lo, hi) = g.outSlice(u)
-      var i = lo
-      while (i < hi) {
-        val w = adj(i)
+      var i = g.outOff(u)
+      while (i < g.outOff(u + 1)) {
+        val w = g.outAdj(i)
         if (w == start) {
           val len = path.length // cycle length = path vertices (closing edge included)
           if (len >= minLen && len <= k) res += path.toVector
@@ -72,10 +71,9 @@ object BruteForce {
 
     // `len` counts the path's vertices: the cycle length once it closes.
     def dfs(u: Int, len: Int): Boolean = {
-      val (adj, lo, hi) = g.outSlice(u)
-      var i = lo
-      while (i < hi) {
-        val w = adj(i)
+      var i = g.outOff(u)
+      while (i < g.outOff(u + 1)) {
+        val w = g.outAdj(i)
         if (allowed(w)) {
           if (w == s) {
             if (len >= minLen && len <= k) return true

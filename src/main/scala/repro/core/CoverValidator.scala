@@ -34,8 +34,7 @@ object CoverValidator {
     */
   private def complementMask(g: DirectedGraph, k: Int, minLen: Int,
                              coverIds: Array[Long]): Array[Boolean] = {
-    require(minLen >= 2, s"minimum cycle length minLen=$minLen must be at least 2")
-    require(k >= minLen, s"hop constraint k=$k below minimum cycle length $minLen")
+    CoverResult.requireBounds(k, minLen)
     val allowed = Array.fill(g.n)(true)
     coverIds.foreach { id =>
       val v = java.util.Arrays.binarySearch(g.ids, id)

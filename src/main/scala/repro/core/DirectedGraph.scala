@@ -35,26 +35,14 @@ final class DirectedGraph private (
   /** Original id of internal vertex `v`. */
   def idOf(v: Int): Long = ids(v)
 
-  @inline def foreachOut(v: Int)(f: Int => Unit): Unit = {
-    var i = outOff(v); val end = outOff(v + 1)
-    while (i < end) { f(outAdj(i)); i += 1 }
-  }
-
-  @inline def foreachIn(v: Int)(f: Int => Unit): Unit = {
-    var i = inOff(v); val end = inOff(v + 1)
-    while (i < end) { f(inAdj(i)); i += 1 }
-  }
-
-  /** Out-neighbours as an indexed slice, for searches that need early exit.
-    * It allocates a tuple per call; hot kernels index `outOff` / `outAdj`
-    * directly instead.
-    */
-  def outSlice(v: Int): (Array[Int], Int, Int) = (outAdj, outOff(v), outOff(v + 1))
-
   def edgeSeq: Seq[(Long, Long)] = {
     val b = Seq.newBuilder[(Long, Long)]
     var v = 0
-    while (v < n) { foreachOut(v)(w => b += ((ids(v), ids(w)))); v += 1 }
+    while (v < n) {
+      var i = outOff(v)
+      while (i < outOff(v + 1)) { b += ((ids(v), ids(outAdj(i)))); i += 1 }
+      v += 1
+    }
     b.result()
   }
 

@@ -1,14 +1,5 @@
 package repro.core
 
-/** Result of a cover computation.
-  *
-  * @param cover  original vertex ids in the cover, ascending
-  * @param stats  algorithm counters (search visits, filter prunes, ...)
-  */
-final case class CoverResult(cover: Array[Long], stats: Map[String, Long]) {
-  def size: Int = cover.length
-}
-
 /** The paper's Top-Down algorithm (Section VI, Algorithm 8) with its three
   * instrumentation levels.
   *
@@ -38,17 +29,16 @@ object TopDown {
   def cover(g: DirectedGraph, k: Int, minLen: Int = 3,
             variant: Variant = TDBPlusPlus,
             budget: SearchBudget = SearchBudget.Unlimited): CoverResult = {
-    require(minLen >= 2, s"minimum cycle length minLen=$minLen must be at least 2")
-    require(k >= minLen, s"hop constraint k=$k below minimum cycle length $minLen")
-    val allowed = new Array[Boolean](g.n) // membership in D ∪ {current v}
-    val inCover = new Array[Boolean](g.n)
+    CoverResult.requireBounds(k, minLen)
+    // Membership in D ∪ {current v}; after the loop, false exactly for
+    // cover vertices.
+    val allowed = new Array[Boolean](g.n)
     val validator: NodeValidator = variant match {
       case TDB => new PlainDfsValidator(g, k, minLen, budget)
       case _   => new BlockDfsValidator(g, k, minLen)
     }
     val filter = if (variant == TDBPlusPlus) new BfsFilter(g, k) else null
     var validations = 0L
-    var coverCount = 0
 
     var v = 0
     while (v < g.n) {
@@ -58,22 +48,13 @@ object TopDown {
         validations += 1
         validator.existsCycleThrough(v, allowed)
       }
-      if (necessary) {
-        inCover(v) = true
-        coverCount += 1
-        allowed(v) = false // kept in cover: its edges never enter G0 again
-      }
+      if (necessary) allowed(v) = false // kept in cover: its edges never enter G0 again
       v += 1
     }
 
-    val ids = new Array[Long](coverCount)
-    var i = 0; var w = 0
-    while (i < g.n) {
-      if (inCover(i)) { ids(w) = g.idOf(i); w += 1 }
-      i += 1
-    }
-    CoverResult(
-      ids,
+    CoverResult.fromMask(
+      g,
+      allowed,
       Map(
         "validations" -> validations,
         "dfsVisits"   -> validator.visits,

@@ -43,7 +43,7 @@ object DarcDV {
   def cover(g: DirectedGraph, k: Int, minLen: Int = 3,
             maxArcs: Long = 100_000_000L,
             budget: SearchBudget = SearchBudget.Unlimited): CoverResult = {
-    require(k >= minLen, s"hop constraint k=$k below minimum cycle length $minLen")
+    CoverResult.requireBounds(k, minLen)
     val lg = new LineGraph(g)
     val arcs = lg.arcCount
     if (arcs > maxArcs) throw new TooLargeException(arcs)
@@ -170,18 +170,19 @@ object DarcDV {
       }
     }
 
-    val vertSet = mutable.SortedSet.empty[Long]
+    // An S-arc out of line node a passes through viaVertex(a), which joins
+    // the cover: `present` is false exactly for cover vertices.
+    val present = Array.fill(g.n)(true)
     a = 0
     while (a < lg.size) {
-      var b = lg.outLo(a)
-      val hi = lg.outHi(a)
-      while (b < hi) {
-        if (state(arcId(a, b).toInt) == InS) vertSet += g.idOf(lg.viaVertex(a))
-        b += 1
+      var id = arcOff(a)
+      while (id < arcOff(a + 1)) {
+        if (state(id.toInt) == InS) present(lg.viaVertex(a)) = false
+        id += 1
       }
       a += 1
     }
-    CoverResult(vertSet.toArray, Map("lineArcs" -> arcs, "searches" -> searches,
-                                     "arcCover" -> sSize))
+    CoverResult.fromMask(g, present, Map("lineArcs" -> arcs, "searches" -> searches,
+                                         "arcCover" -> sSize))
   }
 }

@@ -49,8 +49,7 @@ object DistributedTDB {
   def cover(spark: SparkSession, edges: DataFrame, k: Int, minLen: Int = 3,
             maxCoreEdges: Long = heapEdgeLimit): DistCover = {
     import spark.implicits._
-    require(minLen >= 2, s"minimum cycle length minLen=$minLen must be at least 2")
-    require(k >= minLen, s"hop constraint k=$k below minimum cycle length $minLen")
+    CoverResult.requireBounds(k, minLen)
     val g = collectCore(edges, maxCoreEdges)
     val res = TopDown.cover(g, k, minLen, TopDown.TDBPlusPlus)
     DistCover(spark.createDataset(res.cover.toSeq).toDF("v"), g.n, g.m, res)

@@ -28,7 +28,7 @@ import scala.collection.immutable.ArraySeq
   * OOPSLA 2014) in a fixed order: core, periphery, reciprocal pairs. The
   * edge set is therefore a function of the parameters and the seed alone,
   * on any machine and any core count. The draw order is the one of the
-  * benchmark's own generator (`perfbench.Gen`), and `CorePeripherySpec`
+  * benchmark's own generator (`perfbench.Gen`), and `GraphGenSpec`
   * pins both to the same edge hashes.
   */
 object CorePeriphery {

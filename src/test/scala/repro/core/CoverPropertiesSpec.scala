@@ -7,7 +7,7 @@ import repro.testkit.TestGraphs
 
 /** Property-based cross-validation of every cover algorithm over random
   * digraphs: all covers valid; BUR+ and TDB* minimal; TDB variants
-  * identical. ScalaCheck is driven directly (the scalatest bridge artifact
+  * identical; and the (k, minLen) bounds they all share. ScalaCheck is driven directly (the scalatest bridge artifact
   * is not in the offline cache).
   */
 class CoverPropertiesSpec extends AnyFunSuite {
@@ -97,5 +97,24 @@ class CoverPropertiesSpec extends AnyFunSuite {
       CoverValidator.isValid(g, k, 3, BottomUp.cover(g, k).cover) &&
       CoverValidator.isValid(g, k, 2, BottomUp.cover(g, k, minLen = 2).cover)
     }, minSuccessful = 40)
+  }
+
+  test("every cover algorithm and check rejects minLen = 1 and k < minLen with the shared messages") {
+    val g = TestGraphs.figure1
+    val entryPoints: Seq[(String, (Int, Int) => Any)] = Seq(
+      "TopDown.cover"            -> ((k, minLen) => TopDown.cover(g, k, minLen)),
+      "BottomUp.cover"           -> ((k, minLen) => BottomUp.cover(g, k, minLen)),
+      "DarcDV.cover"             -> ((k, minLen) => DarcDV.cover(g, k, minLen)),
+      "CoverValidator.isValid"   -> ((k, minLen) => CoverValidator.isValid(g, k, minLen, Array.empty)),
+      "CoverValidator.isMinimal" -> ((k, minLen) => CoverValidator.isMinimal(g, k, minLen, Array.empty)),
+    )
+    val bounds = Seq(
+      (5, 1) -> "minimum cycle length minLen=1 must be at least 2",
+      (2, 3) -> "hop constraint k=2 below minimum cycle length 3",
+    )
+    for ((name, run) <- entryPoints; ((k, minLen), message) <- bounds) withClue(s"$name(k=$k, minLen=$minLen): ") {
+      val e = intercept[IllegalArgumentException](run(k, minLen))
+      assert(e.getMessage.contains(message))
+    }
   }
 }

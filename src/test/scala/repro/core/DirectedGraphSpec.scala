@@ -6,6 +6,10 @@ import repro.testkit.{ReferenceCsr, TestGraphs}
 
 class DirectedGraphSpec extends AnyFunSuite {
 
+  /** The out- and in-neighbours of `v`, read from its CSR slices. */
+  private def outs(g: DirectedGraph, v: Int): Seq[Int] = (g.outOff(v) until g.outOff(v + 1)).map(g.outAdj)
+  private def ins(g: DirectedGraph, v: Int): Seq[Int] = (g.inOff(v) until g.inOff(v + 1)).map(g.inAdj)
+
   test("triangle has 3 vertices and 3 edges") {
     val g = TestGraphs.triangle
     assert(g.n == 3)
@@ -39,24 +43,18 @@ class DirectedGraphSpec extends AnyFunSuite {
 
   test("foreachOut visits exactly the out-neighbours") {
     val g = TestGraphs.figure1
-    val buf = scala.collection.mutable.Set.empty[Int]
-    g.foreachOut(0)(buf += _)
-    assert(buf == Set(1, 3, 5))
+    assert(outs(g, 0).toSet == Set(1, 3, 5))
   }
 
   test("foreachIn visits exactly the in-neighbours") {
     val g = TestGraphs.figure1
-    val buf = scala.collection.mutable.Set.empty[Int]
-    g.foreachIn(0)(buf += _)
-    assert(buf == Set(2, 4, 7))
+    assert(ins(g, 0).toSet == Set(2, 4, 7))
   }
 
   test("hasEdge is consistent with adjacency") {
     val g = TestGraphs.random(30, 120, seed = 1)
     for (u <- 0 until g.n; v <- 0 until g.n) {
-      var found = false
-      g.foreachOut(u)(w => if (w == v) found = true)
-      assert(g.hasEdge(u, v) == found, s"hasEdge($u,$v)")
+      assert(g.hasEdge(u, v) == outs(g, u).contains(v), s"hasEdge($u,$v)")
     }
   }
 
@@ -77,12 +75,8 @@ class DirectedGraphSpec extends AnyFunSuite {
 
   test("in-CSR and out-CSR describe the same edge set") {
     val g = TestGraphs.random(40, 200, seed = 3)
-    val fromOut = (0 until g.n).flatMap { v =>
-      val b = Seq.newBuilder[(Int, Int)]; g.foreachOut(v)(w => b += ((v, w))); b.result()
-    }.toSet
-    val fromIn = (0 until g.n).flatMap { v =>
-      val b = Seq.newBuilder[(Int, Int)]; g.foreachIn(v)(w => b += ((w, v))); b.result()
-    }.toSet
+    val fromOut = (0 until g.n).flatMap(v => outs(g, v).map(w => (v, w))).toSet
+    val fromIn = (0 until g.n).flatMap(v => ins(g, v).map(w => (w, v))).toSet
     assert(fromOut == fromIn)
   }
 
@@ -96,14 +90,6 @@ class DirectedGraphSpec extends AnyFunSuite {
     val g = DirectedGraph.fromEdges(Seq((42L, 43L)))
     assert(g.n == 2 && g.m == 1)
     assert(g.outDeg(0) == 1 && g.inDeg(1) == 1)
-  }
-
-  test("outSlice bounds cover exactly outDeg entries") {
-    val g = TestGraphs.random(25, 100, seed = 4)
-    for (v <- 0 until g.n) {
-      val (_, lo, hi) = g.outSlice(v)
-      assert(hi - lo == g.outDeg(v))
-    }
   }
 
   test("edge count is stable under re-shuffling input order") {
