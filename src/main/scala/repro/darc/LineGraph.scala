@@ -22,7 +22,10 @@ final class LineGraph(val g: DirectedGraph) {
   /** Number of line nodes = number of edges of G. */
   val size: Int = g.m
 
-  /** dst of the G-edge behind each line node (shared with G's CSR). */
+  /** dst of the G-edge behind each line node (shared with G's CSR); every
+    * line arc (e, b) passes through this vertex, which is how DARC-DV maps
+    * an arc cover back to a vertex cover.
+    */
   def eDst(e: Int): Int = g.outAdj(e)
 
   /** Total number of line arcs, Σ_v in(v)·out(v) — the DARC-DV blow-up. */
@@ -36,7 +39,4 @@ final class LineGraph(val g: DirectedGraph) {
   /** Out-arcs of line node `a` are line nodes in [outLo(a), outHi(a)). */
   @inline def outLo(a: Int): Int = g.outOff(eDst(a))
   @inline def outHi(a: Int): Int = g.outOff(eDst(a) + 1)
-
-  /** The G-vertex an arc (a, b) passes through (the DARC-DV result mapping). */
-  @inline def viaVertex(a: Int): Int = eDst(a)
 }

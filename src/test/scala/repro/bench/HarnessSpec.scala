@@ -30,7 +30,7 @@ class HarnessSpec extends AnyFunSuite {
 
   test("DARC-DV arc explosion surfaces as DNF") {
     val g = TestGraphs.random(20, 100, seed = 1)
-    // run via outcomeOf with an impossible budget
+    // run via outcomeOf with a line-arc cap of 1, far below the graph's arc count
     val o = Harness.outcomeOf(repro.darc.DarcDV.cover(g, 5, maxArcs = 1))
     assert(o.isInstanceOf[Harness.Dnf])
   }

@@ -41,12 +41,12 @@ class DirectedGraphSpec extends AnyFunSuite {
     assert(g.inDeg(4) == 1)
   }
 
-  test("foreachOut visits exactly the out-neighbours") {
+  test("the out-CSR slice holds exactly the out-neighbours") {
     val g = TestGraphs.figure1
     assert(outs(g, 0).toSet == Set(1, 3, 5))
   }
 
-  test("foreachIn visits exactly the in-neighbours") {
+  test("the in-CSR slice holds exactly the in-neighbours") {
     val g = TestGraphs.figure1
     assert(ins(g, 0).toSet == Set(2, 4, 7))
   }

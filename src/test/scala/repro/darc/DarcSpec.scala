@@ -1,7 +1,8 @@
 package repro.darc
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{BruteForce, CoverValidator, DirectedGraph, TopDown}
+import repro.bench.Harness
+import repro.core.{BruteForce, CoverResult, CoverValidator, DirectedGraph, TopDown}
 import repro.testkit.TestGraphs
 
 class DarcSpec extends AnyFunSuite {
@@ -10,6 +11,20 @@ class DarcSpec extends AnyFunSuite {
     * out-slice of `g.outAdj` holds position `e`.
     */
   private def lineSrc(g: DirectedGraph, e: Int): Int = (0 until g.n).find(v => e < g.outOff(v + 1)).get
+
+  /** Cover size, a 52-bit SplitMix64 fold of the cover ids, and the
+    * `lineArcs`, `searches` and `arcCover` stats.
+    */
+  private def fingerprint(r: CoverResult): (Int, Long, Long, Long, Long) = {
+    var h = 0x1234567L
+    r.cover.foreach { id =>
+      var x = h ^ id
+      x = (x ^ (x >>> 30)) * 0xbf58476d1ce4e5b9L
+      x = (x ^ (x >>> 27)) * 0x94d049bb133111ebL
+      h = x ^ (x >>> 31)
+    }
+    (r.size, h & ((1L << 52) - 1), r.stats("lineArcs"), r.stats("searches"), r.stats("arcCover"))
+  }
 
   test("line graph maps edges to line nodes with matching src/dst") {
     val g = TestGraphs.triangle
@@ -32,7 +47,6 @@ class DarcSpec extends AnyFunSuite {
     val lg = new LineGraph(g)
     for (a <- 0 until lg.size; b <- lg.outLo(a) until lg.outHi(a)) {
       assert(lineSrc(g, b) == lg.eDst(a))
-      assert(lg.viaVertex(a) == lineSrc(g, b))
     }
   }
 
@@ -83,6 +97,17 @@ class DarcSpec extends AnyFunSuite {
     }
   }
 
+  test("TooLargeException fires when the line graph has more arcs than the largest array") {
+    // A hub with 46,341 in- and out-neighbours: 46,341² line arcs through
+    // the hub plus one through each leaf, more than Int.MaxValue.
+    val d = 46341
+    val g = DirectedGraph.fromInternal(d + 1, Array.tabulate(2 * d)(i => if (i < d) (i + 1, 0) else (0, i - d + 1)))
+    val e = intercept[DarcDV.TooLargeException] {
+      DarcDV.cover(g, 5, maxArcs = Long.MaxValue)
+    }
+    assert(e.arcs == d.toLong * d + d)
+  }
+
   test("DARC-DV result ids are original ids, sorted") {
     val g = TestGraphs.randomSparseIds(14, 50, seed = 7)
     val res = DarcDV.cover(g, 5)
@@ -116,5 +141,33 @@ class DarcSpec extends AnyFunSuite {
         assert(c.exists(v => cover.contains(g.idOf(v))), s"seed=$seed uncovered $c")
       }
     }
+  }
+
+  test("DARC-DV covers and stats are pinned on the roster rows, figure-1 and the bow tie") {
+    val wkv = Seq(
+      (41, 630007308731888L, 16410L, 16538L, 128L),
+      (70, 2545240795413455L, 16410L, 16772L, 443L),
+      (70, 3412019271860120L, 16410L, 16823L, 740L),
+      (71, 992409002276151L, 16410L, 16788L, 822L),
+      (71, 4411278900471920L, 16410L, 16744L, 806L))
+    val wgo = Seq(
+      (37, 3406704400333813L, 9956L, 10015L, 59L),
+      (72, 4225760997641380L, 9956L, 10123L, 183L),
+      (83, 3485608812230962L, 9956L, 10190L, 364L),
+      (84, 3646281030991415L, 9956L, 10190L, 457L),
+      (75, 3457260164641471L, 9956L, 10164L, 463L))
+    for ((spec, pinned) <- TestGraphs.tinyRoster.zip(Seq(wkv, wgo))) {
+      val g = Harness.loadGraph(spec)
+      for ((k, want) <- (3 to 7).zip(pinned))
+        assert(fingerprint(DarcDV.cover(g, k)) == want, s"${spec.name} k=$k")
+    }
+    val one = 703231465136512L; val two = 698786576073463L
+    val figure1 = Seq((1, one, 16L, 18L, 2L), (1, one, 16L, 19L, 3L), (1, one, 16L, 19L, 3L),
+                      (2, two, 16L, 19L, 3L), (3, 1215459082842215L, 16L, 19L, 3L))
+    val bowTie = Seq((1, one, 8L, 10L, 2L), (1, one, 8L, 10L, 2L), (1, one, 8L, 10L, 2L),
+                     (2, two, 8L, 10L, 2L), (2, two, 8L, 10L, 2L))
+    for ((name, g, pinned) <- Seq(("figure1", TestGraphs.figure1, figure1), ("bowTie", TestGraphs.bowTie, bowTie));
+         (k, want) <- (3 to 7).zip(pinned))
+      assert(fingerprint(DarcDV.cover(g, k, minLen = 2)) == want, s"$name k=$k")
   }
 }
