@@ -47,6 +47,9 @@ object Harness {
   def searchBudget: SearchBudget =
     new SearchBudget(sys.env.get("BENCH_BUDGET").map(_.toLong).getOrElse(10_000_000_000L))
 
+  /** Runs `body`; a run stops as a DNF for exactly two reasons, its visit
+    * budget or DARC-DV's line-graph arc cap. Any other failure propagates.
+    */
   def outcomeOf(body: => CoverResult): Outcome =
     try {
       val t = time(body)
@@ -54,7 +57,6 @@ object Harness {
     } catch {
       case e: DarcDV.TooLargeException => Dnf(s"line graph ${e.arcs} arcs")
       case e: SearchBudget.Exceeded    => Dnf(s"budget ${e.limit} visits")
-      case _: StackOverflowError       => Dnf("stack overflow")
     }
 
   def runAlgo(g: DirectedGraph, algo: String, k: Int, minLen: Int = 3): Outcome = algo match {
@@ -67,20 +69,16 @@ object Harness {
     case other     => throw new IllegalArgumentException(s"unknown algorithm $other")
   }
 
-  def fmtCell(o: Outcome): (String, String) = o match {
-    case d: Done => (d.size.toString, f"${d.millis / 1000.0}%.2f")
-    case Dnf(_)  => ("-", "-")
-  }
-
   /** The "-" cells of one table, each kept with the reason its run did not finish. */
   final class DnfLog {
     private val lines = Seq.newBuilder[String]
 
     /** The size and seconds cells of one run; a DNF also logs its reason. */
-    def cells(dataset: String, algo: String, k: Int, o: Outcome): Seq[String] = {
-      o match { case Dnf(reason) => lines += s"DNF $dataset $algo k=$k: $reason"; case _ => () }
-      val (size, secs) = fmtCell(o)
-      Seq(size, secs)
+    def cells(dataset: String, algo: String, k: Int, o: Outcome): Seq[String] = o match {
+      case d: Done => Seq(d.size.toString, f"${d.millis / 1000.0}%.2f")
+      case Dnf(reason) =>
+        lines += s"DNF $dataset $algo k=$k: $reason"
+        Seq("-", "-")
     }
 
     def result: Seq[String] = lines.result()

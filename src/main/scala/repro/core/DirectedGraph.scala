@@ -32,9 +32,6 @@ final class DirectedGraph private (
   def outDeg(v: Int): Int = outOff(v + 1) - outOff(v)
   def inDeg(v: Int): Int  = inOff(v + 1) - inOff(v)
 
-  /** Original id of internal vertex `v`. */
-  def idOf(v: Int): Long = ids(v)
-
   def edgeSeq: Seq[(Long, Long)] = {
     val b = Seq.newBuilder[(Long, Long)]
     var v = 0

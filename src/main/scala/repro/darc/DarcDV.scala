@@ -32,23 +32,23 @@ import repro.core.{CoverResult, DirectedGraph, SearchBudget}
   */
 object DarcDV {
 
-  /** Thrown when Σ in(v)·out(v) exceeds `maxArcs` or the largest array —
-    * the benchmark prints "-" for such runs, mirroring the paper's dashes
-    * on large graphs.
+  /** Thrown when Σ in(v)·out(v) exceeds `MaxArcs` — the benchmark prints
+    * "-" for such runs, mirroring the paper's dashes on large graphs.
     */
   final class TooLargeException(val arcs: Long) extends RuntimeException(
     s"line graph has $arcs arcs")
 
-  /** The largest array length every JVM allocates. */
-  private final val MaxArrayLen = Int.MaxValue - 8
+  /** The most line arcs a run indexes; below the largest JVM array, so an
+    * arc id always fits an `Int`.
+    */
+  private final val MaxArcs = 100_000_000L
 
   def cover(g: DirectedGraph, k: Int, minLen: Int = 3,
-            maxArcs: Long = 100_000_000L,
             budget: SearchBudget = SearchBudget.Unlimited): CoverResult = {
     CoverResult.requireBounds(k, minLen)
     val lg = new LineGraph(g)
     val arcs = lg.arcCount
-    if (arcs > maxArcs || arcs > MaxArrayLen) throw new TooLargeException(arcs)
+    if (arcs > MaxArcs) throw new TooLargeException(arcs)
 
     // Dense arc indexing: arcs out of line node a occupy
     // [arcOff(a), arcOff(a+1)) in arc-id space.

@@ -70,6 +70,6 @@ object ClosedWalkFilter {
     val g = DistributedTDB.collectCore(edges)
     val filter = new BfsFilter(g, k)
     val all = Array.fill(g.n)(true)
-    (0 until g.n).filter(filter.mayHaveCycle(_, all)).map(g.idOf).toDF("v")
+    (0 until g.n).filter(filter.mayHaveCycle(_, all)).map(g.ids(_)).toDF("v")
   }
 }

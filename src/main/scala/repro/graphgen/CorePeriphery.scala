@@ -2,8 +2,6 @@ package repro.graphgen
 
 import java.util.SplittableRandom
 
-import scala.collection.immutable.ArraySeq
-
 /** Seeded core–periphery digraph generator: the synthetic stand-in for the
   * paper's SNAP graphs (DESIGN.md § dataset substitutions).
   *
@@ -101,8 +99,4 @@ object CorePeriphery {
     }
     java.util.Arrays.copyOf(raw, w)
   }
-
-  /** The edges as the (src, dst) pairs that Spark's `toDF` takes. */
-  def pairs(edges: Array[Long]): Seq[(Long, Long)] =
-    ArraySeq.unsafeWrapArray(edges.map(e => (src(e), dst(e))))
 }

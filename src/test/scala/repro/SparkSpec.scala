@@ -21,9 +21,7 @@ object SparkSpec {
       .appName("repro")
       // One shuffle partition per local core: the test inputs have at most
       // a few thousand edges, so more partitions only add tasks.
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS",
-                                Runtime.getRuntime.availableProcessors.toString))
+      .config("spark.sql.shuffle.partitions", Runtime.getRuntime.availableProcessors.toLong)
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that names the heap setting, master and

@@ -29,16 +29,15 @@ class HarnessSpec extends AnyFunSuite {
   }
 
   test("DARC-DV arc explosion surfaces as DNF") {
-    val g = TestGraphs.random(20, 100, seed = 1)
-    // run via outcomeOf with a line-arc cap of 1, far below the graph's arc count
-    val o = Harness.outcomeOf(repro.darc.DarcDV.cover(g, 5, maxArcs = 1))
-    assert(o.isInstanceOf[Harness.Dnf])
+    // 100,010,000 line arcs, just over DARC-DV's fixed cap of 1e8
+    assert(Harness.runAlgo(TestGraphs.hub(10000), "DARC-DV", 5) == Harness.Dnf("line graph 100010000 arcs"))
   }
 
-  test("fmtCell renders sizes and DNFs") {
+  test("DnfLog.cells renders sizes and DNFs") {
     val twelve = CoverResult(Array.tabulate(12)(_.toLong), Map.empty)
-    assert(Harness.fmtCell(Harness.Done(twelve, 1500)) == ("12", "1.50"))
-    assert(Harness.fmtCell(Harness.Dnf("too big")) == ("-", "-"))
+    val dnfs = new Harness.DnfLog
+    assert(dnfs.cells("D", "A", 5, Harness.Done(twelve, 1500)) == Seq("12", "1.50"))
+    assert(dnfs.cells("D", "A", 5, Harness.Dnf("too big")) == Seq("-", "-"))
   }
 
   test("a DNF cell renders \"-\" and prints its reason after the table") {

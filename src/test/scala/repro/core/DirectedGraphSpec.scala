@@ -65,7 +65,7 @@ class DirectedGraphSpec extends AnyFunSuite {
     assert(g.ids.sorted.sameElements(g.ids))
   }
 
-  test("idOf round-trips through edgeSeq") {
+  test("edgeSeq round-trips through fromEdges") {
     val g = TestGraphs.randomSparseIds(20, 60, seed = 2)
     val back = DirectedGraph.fromEdges(g.edgeSeq)
     assert(back.n == g.n)

@@ -91,21 +91,15 @@ class DarcSpec extends AnyFunSuite {
   }
 
   test("TooLargeException fires when the arc budget is exceeded") {
-    val g = TestGraphs.random(30, 300, seed = 3)
-    intercept[DarcDV.TooLargeException] {
-      DarcDV.cover(g, 5, maxArcs = 1)
+    // Hubs just over the fixed cap of 1e8 line arcs (d = 10,000: 100,010,000
+    // arcs) and past Int.MaxValue arcs (d = 46,341), where an Int arc id
+    // would wrap.
+    for (d <- Seq(10000, 46341)) {
+      val e = intercept[DarcDV.TooLargeException] {
+        DarcDV.cover(TestGraphs.hub(d), 5)
+      }
+      assert(e.arcs == d.toLong * d + d, s"d=$d")
     }
-  }
-
-  test("TooLargeException fires when the line graph has more arcs than the largest array") {
-    // A hub with 46,341 in- and out-neighbours: 46,341² line arcs through
-    // the hub plus one through each leaf, more than Int.MaxValue.
-    val d = 46341
-    val g = DirectedGraph.fromInternal(d + 1, Array.tabulate(2 * d)(i => if (i < d) (i + 1, 0) else (0, i - d + 1)))
-    val e = intercept[DarcDV.TooLargeException] {
-      DarcDV.cover(g, 5, maxArcs = Long.MaxValue)
-    }
-    assert(e.arcs == d.toLong * d + d)
   }
 
   test("DARC-DV result ids are original ids, sorted") {
@@ -138,7 +132,7 @@ class DarcSpec extends AnyFunSuite {
       val cover = DarcDV.cover(g, 5).cover.toSet
       val cycles = BruteForce.enumerateCycles(g, 5)
       cycles.foreach { c =>
-        assert(c.exists(v => cover.contains(g.idOf(v))), s"seed=$seed uncovered $c")
+        assert(c.exists(v => cover.contains(g.ids(v))), s"seed=$seed uncovered $c")
       }
     }
   }

@@ -52,7 +52,7 @@ class ClosedWalkFilterSpec extends SparkSpec {
       val edges = df(g.edgeSeq.map { case (s, d) => (s.toInt, d.toInt) }: _*)
       val k = 5
       val cand = candidateSet(edges, k)
-      val onCycle = BruteForce.enumerateCycles(g, k).flatten.map(g.idOf).toSet
+      val onCycle = BruteForce.enumerateCycles(g, k).flatten.map(g.ids).toSet
       assert(onCycle.subsetOf(cand), s"seed=$seed missing ${onCycle.diff(cand)}")
     }
   }
@@ -105,8 +105,8 @@ class ClosedWalkFilterSpec extends SparkSpec {
       val core = ClosedWalkFilter.trim(edges).collect()
         .map(r => (r.getLong(0), r.getLong(1)))
       val coreG = repro.core.DirectedGraph.fromEdges(core.toSeq)
-      val orig = BruteForce.enumerateCycles(g, k).map(_.map(g.idOf).toSet).toSet
-      val kept = BruteForce.enumerateCycles(coreG, k).map(_.map(coreG.idOf).toSet).toSet
+      val orig = BruteForce.enumerateCycles(g, k).map(_.map(g.ids).toSet).toSet
+      val kept = BruteForce.enumerateCycles(coreG, k).map(_.map(coreG.ids).toSet).toSet
       assert(orig == kept, s"seed=$seed")
     }
   }

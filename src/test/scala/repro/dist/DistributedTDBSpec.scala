@@ -21,7 +21,7 @@ class DistributedTDBSpec extends SparkSpec {
 
   private def toDf(edges: Array[Long]): DataFrame = {
     import spark.implicits._
-    CorePeriphery.pairs(edges).toDF("src", "dst")
+    TestGraphs.pairs(edges).toDF("src", "dst")
   }
 
   test("distributed cover of a triangle matches sequential TDB++") {
@@ -68,7 +68,7 @@ class DistributedTDBSpec extends SparkSpec {
     assert(res.coreEdgeCount < edges.count() / 2,
       s"core ${res.coreEdgeCount} vs input ${edges.count()}")
     // and the cover it finds is still valid for the full graph
-    val g = DirectedGraph.fromEdges(CorePeriphery.pairs(e))
+    val g = DirectedGraph.fromEdges(TestGraphs.pairs(e))
     val cover = res.cover.collect().map(_.getLong(0)).sorted
     assert(CoverValidator.isValid(g, 4, 3, cover, fast = true))
   }
@@ -117,7 +117,7 @@ class DistributedTDBSpec extends SparkSpec {
     val e = CorePeriphery.edges(n = 2000, nCore = 200, mCore = 3000, m = 12000, fb = 0.9,
       mRecip = 0, seed = 23)
     val res = DistributedTDB.cover(spark, toDf(e), k = 4)
-    val g = DirectedGraph.fromEdges(CorePeriphery.pairs(e))
+    val g = DirectedGraph.fromEdges(TestGraphs.pairs(e))
     val cover = res.cover.collect().map(_.getLong(0)).sorted
     assert(CoverValidator.isValid(g, 4, 3, cover, fast = true))
     assert(CoverValidator.isMinimal(g, 4, 3, cover, fast = true))

@@ -3,6 +3,7 @@ package repro.graphgen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.Harness
 import repro.core.{DirectedGraph, TopDown}
+import repro.testkit.TestGraphs
 
 class GraphGenSpec extends AnyFunSuite {
   import CorePeriphery.{dst, src}
@@ -12,7 +13,7 @@ class GraphGenSpec extends AnyFunSuite {
     CorePeriphery.edges(n, nCore = n, mCore = m, m = m, fb = 0.0, mRecip = 0, seed = seed)
 
   private def graph(edges: Array[Long]): DirectedGraph =
-    DirectedGraph.fromEdges(CorePeriphery.pairs(edges))
+    DirectedGraph.fromEdges(TestGraphs.pairs(edges))
 
   /** 52-bit SplitMix64 fold of a sorted edge array, the benchmark's
     * `graph.edge_hash`.

@@ -1,8 +1,9 @@
 package repro.testkit
 
+import scala.collection.immutable.ArraySeq
 import scala.util.Random
 import repro.core.DirectedGraph
-import repro.graphgen.DatasetSpec
+import repro.graphgen.{CorePeriphery, DatasetSpec}
 
 /** Deterministic small graphs for unit and property tests. */
 object TestGraphs {
@@ -79,6 +80,18 @@ object TestGraphs {
     }
     DirectedGraph.fromEdges(edges)
   }
+
+  /** Encoded `src << 32 | dst` edges as the (src, dst) pairs that
+    * `fromEdges` and Spark's `toDF` take.
+    */
+  def pairs(edges: Array[Long]): Seq[(Long, Long)] =
+    ArraySeq.unsafeWrapArray(edges.map(e => (CorePeriphery.src(e), CorePeriphery.dst(e))))
+
+  /** A hub 0 with a 2-cycle to each of the leaves 1..d: its line graph has
+    * d² arcs through the hub and one through each leaf, d² + d in all.
+    */
+  def hub(d: Int): DirectedGraph =
+    DirectedGraph.fromInternal(d + 1, Array.tabulate(2 * d)(i => if (i < d) (i + 1, 0) else (0, i - d + 1)))
 
   /** Two roster rows named like the speed-up datasets, at 300 vertices:
     * small enough for every experiment, DARC-DV and plain TDB at k = 7
