@@ -167,6 +167,9 @@ object CoverValidator {
         try t.join()
         catch { case _: InterruptedException => interrupted = true; stop.set(true) }
     }
+    // A join on a worker that has already ended does not wait, so an
+    // interrupt can still be pending here.
+    if (Thread.interrupted()) interrupted = true
     if (error.get != null) throw error.get
     if (interrupted) throw new InterruptedException("cover check interrupted")
     !stop.get

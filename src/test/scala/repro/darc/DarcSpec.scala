@@ -91,15 +91,24 @@ class DarcSpec extends AnyFunSuite {
   }
 
   test("TooLargeException fires when the arc budget is exceeded") {
-    // Hubs just over the fixed cap of 1e8 line arcs (d = 10,000: 100,010,000
-    // arcs) and past Int.MaxValue arcs (d = 46,341), where an Int arc id
-    // would wrap.
-    for (d <- Seq(10000, 46341)) {
-      val e = intercept[DarcDV.TooLargeException] {
-        DarcDV.cover(TestGraphs.hub(d), 5)
-      }
-      assert(e.arcs == d.toLong * d + d, s"d=$d")
+    // A hub just over the fixed cap of 1e8 line arcs: d = 10,000 gives
+    // 100,010,000 arcs.
+    val d = 10000
+    val e = intercept[DarcDV.TooLargeException] {
+      DarcDV.cover(TestGraphs.hub(d), 5)
     }
+    assert(e.arcs == d.toLong * d + d)
+  }
+
+  test("TooLargeException fires when the line graph has more arcs than the largest array") {
+    // A hub with 46,341 in- and out-neighbours: 46,341² line arcs through
+    // the hub plus one through each leaf, more than Int.MaxValue, where an
+    // Int arc id would wrap.
+    val d = 46341
+    val e = intercept[DarcDV.TooLargeException] {
+      DarcDV.cover(TestGraphs.hub(d), 5)
+    }
+    assert(e.arcs == d.toLong * d + d)
   }
 
   test("DARC-DV result ids are original ids, sorted") {
