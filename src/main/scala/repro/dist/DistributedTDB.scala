@@ -46,11 +46,10 @@ object DistributedTDB {
     */
   private def heapEdgeLimit: Long = Runtime.getRuntime.maxMemory / 2 / BytesPerCoreEdge
 
-  def cover(spark: SparkSession, edges: DataFrame, k: Int, minLen: Int = 3,
-            maxCoreEdges: Long = heapEdgeLimit): DistCover = {
+  def cover(spark: SparkSession, edges: DataFrame, k: Int, minLen: Int = 3): DistCover = {
     import spark.implicits._
     CoverResult.requireBounds(k, minLen)
-    val g = collectCore(edges, maxCoreEdges)
+    val g = collectCore(edges)
     val res = TopDown.cover(g, k, minLen, TopDown.TDBPlusPlus)
     DistCover(spark.createDataset(res.cover.toSeq).toDF("v"), g.n, g.m, res)
   }

@@ -14,7 +14,7 @@ class ExperimentsSpec extends AnyFunSuite {
   private val names = roster.map(_.name)
 
   /** The experiment's table, after checking its header and its row keys. */
-  private def check(t: Harness.Table, header: Seq[String], keys: Seq[Seq[String]]): Harness.Table = {
+  private def check(t: Experiments.Table, header: Seq[String], keys: Seq[Seq[String]]): Experiments.Table = {
     assert(t.header == header)
     assert(t.rows.map(_.take(keys.head.length)) == keys)
     assert(t.rows.forall(_.length == header.length))

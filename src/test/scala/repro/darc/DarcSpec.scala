@@ -1,7 +1,7 @@
 package repro.darc
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bench.Harness
+import repro.bench.Experiments
 import repro.core.{BruteForce, CoverResult, CoverValidator, DirectedGraph, TopDown}
 import repro.testkit.TestGraphs
 
@@ -160,7 +160,7 @@ class DarcSpec extends AnyFunSuite {
       (84, 3646281030991415L, 9956L, 10190L, 457L),
       (75, 3457260164641471L, 9956L, 10164L, 463L))
     for ((spec, pinned) <- TestGraphs.tinyRoster.zip(Seq(wkv, wgo))) {
-      val g = Harness.loadGraph(spec)
+      val g = Experiments.loadGraph(spec)
       for ((k, want) <- (3 to 7).zip(pinned))
         assert(fingerprint(DarcDV.cover(g, k)) == want, s"${spec.name} k=$k")
     }

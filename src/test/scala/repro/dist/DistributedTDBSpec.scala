@@ -2,7 +2,7 @@ package repro.dist
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
-import repro.bench.{Experiments, Harness}
+import repro.bench.Experiments
 import repro.core.{CoverValidator, DirectedGraph, TopDown}
 import repro.graphgen.CorePeriphery
 import repro.testkit.TestGraphs
@@ -76,13 +76,13 @@ class DistributedTDBSpec extends SparkSpec {
   test("maxCoreEdges guard trips") {
     val g = TestGraphs.random(20, 120, seed = 21)
     intercept[IllegalArgumentException] {
-      DistributedTDB.cover(spark, toDf(g), 5, maxCoreEdges = 1)
+      DistributedTDB.collectCore(toDf(g), maxCoreEdges = 1)
     }
   }
 
   test("the core guard names the heap and the core size") {
     val e = intercept[IllegalArgumentException] {
-      DistributedTDB.cover(spark, df((0, 1), (1, 2), (2, 0)), k = 3, maxCoreEdges = 2)
+      DistributedTDB.collectCore(df((0, 1), (1, 2), (2, 0)), maxCoreEdges = 2)
     }
     val heapMb = Runtime.getRuntime.maxMemory >> 20
     assert(e.getMessage.contains("core has 3 edges") &&
@@ -127,7 +127,7 @@ class DistributedTDBSpec extends SparkSpec {
     val spec = TestGraphs.tinyRoster.minBy(_.m)
     val t = Experiments.dist(spark, Seq(spec))
     assert(t.header == Seq("Name", "|E|", "core |E|", "core %", "cover", "total s"))
-    val g = Harness.loadGraph(spec)
+    val g = Experiments.loadGraph(spec)
     val Seq(Seq(name, m, core, _, cover, _)) = t.rows
     assert(name == spec.name && m.toInt == g.m && core.toInt <= g.m)
     assert(cover.toInt == TopDown.cover(g, 5).size)

@@ -1,7 +1,7 @@
 package repro.graphgen
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.bench.Harness
+import repro.bench.Experiments
 import repro.core.{DirectedGraph, TopDown}
 import repro.testkit.TestGraphs
 
@@ -119,7 +119,7 @@ class GraphGenSpec extends AnyFunSuite {
     assert(Datasets.all.map(_.name).distinct.size == Datasets.all.size)
     assert(Datasets.speedup.map(_.name) == Seq("WKV-S", "WGO-S"))
     for (spec <- Datasets.all) {
-      val g = Harness.loadGraph(spec)
+      val g = Experiments.loadGraph(spec)
       assert(g.n > 0 && g.m > 0, spec.name)
       assert(g.ids.indices.tail.forall(i => g.ids(i - 1) < g.ids(i)), spec.name)
       assert(g.n <= spec.n, spec.name)
